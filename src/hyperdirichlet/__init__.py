@@ -20,7 +20,8 @@ from .numerics import (
     QuadratureSpec,
     IntegralResult,
     integrate,
-    integrate_oscillatory,
+    split_points,
+    integrate_split,
     extrapolate_limit,
 )
 from .specfun import (
@@ -60,7 +61,6 @@ from .kernel import (
     dirichlet_asymptotic,
     dirichlet_origin_odd,
     shannon_delta,
-    d2_normalization_factor,
 )
 from .transform import (
     RadialFunction,

@@ -6,9 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import HyperDirichletError
 from .spherical import SpectralParams, phi, euclidean_limit_error
@@ -44,25 +42,6 @@ def _parse_grid(spec):
         return [start]
     step = (stop - start) / (count - 1)
     return [start + i * step for i in range(count)]
-
-
-def _thread_count():
-    raw = os.environ.get("HYPERDIRICHLET_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("HYPERDIRICHLET_THREADS must be an integer")
-    return max(1, n)
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, optionally in a thread pool; output keeps the
-    input order regardless of completion order."""
-    n = _thread_count()
-    if n == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def make_test_function(name, a):
@@ -143,17 +122,14 @@ def _emit(args, header, rows):
 def _cmd_phi(args):
     pa = SpectralParams(args.d, args.R)
     pts = [(lam, chi) for lam in _parse_grid(args.lam) for chi in _parse_grid(args.chi)]
-    vals = _map_ordered(lambda p: phi(pa, p[0], p[1]), pts)
-    rows = [(lam, chi, v) for (lam, chi), v in zip(pts, vals)]
+    rows = [(lam, chi, phi(pa, lam, chi)) for lam, chi in pts]
     return _emit(args, ("lambda", "chi", "phi"), rows)
 
 
 def _cmd_cfunc(args):
     pa = SpectralParams(args.d, args.R)
-    lams = _parse_grid(args.lam)
-    vals = _map_ordered(
-        lambda lam: (inv_c_modulus_sq(pa, lam), plancherel_density(pa, lam)), lams)
-    rows = [(lam, ic2, dens) for lam, (ic2, dens) in zip(lams, vals)]
+    rows = [(lam, inv_c_modulus_sq(pa, lam), plancherel_density(pa, lam))
+            for lam in _parse_grid(args.lam)]
     return _emit(args, ("lambda", "inv_c2", "density"), rows)
 
 
@@ -166,9 +142,8 @@ def _cmd_kernel(args):
         "recursion": dirichlet_recursion,
         "asymptotic": dirichlet_asymptotic,
     }[args.method]
-    chis = _parse_grid(args.chi)
-    vals = _map_ordered(lambda chi: method(kp, chi), chis)
-    return _emit(args, ("chi", "D"), list(zip(chis, vals)))
+    rows = [(chi, method(kp, chi)) for chi in _parse_grid(args.chi)]
+    return _emit(args, ("chi", "D"), rows)
 
 
 def _cmd_transform(args):
@@ -184,9 +159,8 @@ def _cmd_transform(args):
         f = make_test_function(args.f, args.a)
         grid = _parse_grid(args.lam)
         table = spectrum_table(f, pa, grid)
-        chis = _parse_grid(args.chi)
-        vals = _map_ordered(lambda chi: fh_inverse(table, chi, grid[-1]), chis)
-        return _emit(args, ("chi", "f"), list(zip(chis, vals)))
+        rows = [(chi, fh_inverse(table, chi, grid[-1])) for chi in _parse_grid(args.chi)]
+        return _emit(args, ("chi", "f"), rows)
     if args.action == "parseval":
         f = make_test_function(args.f, args.a)
         grid = _parse_grid(args.lam)
@@ -199,9 +173,8 @@ def _cmd_transform(args):
                     [(nf, ns, rec["relative_difference"])])
     if args.action == "mehler-fock":
         w, env = make_weight_function(args.f)
-        mus = _parse_grid(args.mu)
-        vals = _map_ordered(lambda mu: mehler_fock_forward(w, mu, env), mus)
-        return _emit(args, ("mu", "g"), list(zip(mus, vals)))
+        rows = [(mu, mehler_fock_forward(w, mu, env)) for mu in _parse_grid(args.mu)]
+        return _emit(args, ("mu", "g"), rows)
     raise ValueError(f"unknown transform action {args.action!r}")
 
 
@@ -240,11 +213,11 @@ def _build_parser():
         description="Radial Fourier analysis on hyperbolic space H^d")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, d_default=3):
-        sp.add_argument("--d", type=int, default=d_default)
+    def common(sp, fmt="csv"):
+        sp.add_argument("--d", type=int, default=3)
         sp.add_argument("--R", type=float, default=1.0)
         sp.add_argument("--output", default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--format", choices=("csv", "json"), default=fmt)
 
     sp = sub.add_parser("phi", help="tabulate the zonal spherical function")
     common(sp)
@@ -278,13 +251,13 @@ def _build_parser():
     sp.set_defaults(run=_cmd_transform)
 
     sp = sub.add_parser("converge", help="pointwise-convergence experiments")
-    common(sp)
+    common(sp, fmt="json")
     sp.add_argument("--f", required=True)
     sp.add_argument("--a", type=float, default=1.0)
     sp.add_argument("--schedule", default="25,50,100,200")
     sp.add_argument("--target", type=float, default=None)
     sp.add_argument("--tol", type=float, default=5e-2)
-    sp.set_defaults(run=_cmd_converge, format_default="json")
+    sp.set_defaults(run=_cmd_converge)
 
     sp = sub.add_parser("limits", help="Euclidean-limit sweeps in R")
     common(sp)
@@ -300,8 +273,6 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "converge" and "--format" not in (argv or sys.argv[1:]):
-        args.format = "json"
     try:
         text = args.run(args)
     except (HyperDirichletError, ValueError, KeyError) as exc:

@@ -12,8 +12,8 @@ from .errors import DomainError
 from .jets import derivatives_taylor, jsin
 from .numerics import extrapolate_limit
 from .kernel import shannon_delta, _delta1
-from .transform import DecayEnvelope, _chi_oscillatory, _mf_profile, partial_sum
-from .numerics import QuadratureSpec, integrate
+from .transform import (DecayEnvelope, _band_sum, _chi_oscillatory, _mf_profile,
+                        partial_sum)
 
 __all__ = [
     "ConvergenceReport",
@@ -224,23 +224,8 @@ def converge_d2(f, M_schedule, target_f_at_1, tol, envelope=DecayEnvelope()):
     S_M = int_0^M lam tanh(pi lam) [int_1^inf P_{-1/2+i lam}(y) f(y) dy] dlam
     over M_schedule and judge convergence to f(1+)."""
     prof = _mf_profile(f, envelope)
-
-    def g(lam):
-        return lam * math.tanh(math.pi * lam) * prof.cosine_moment(lam)
-
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=3000)
-
-    def band_sum(M):
-        total = 0.0
-        lo = 0.0
-        while lo < M:
-            hi = min(lo + 8.0, M)
-            total += integrate(g, lo, hi, spec).value
-            lo = hi
-        return total
-
     schedule = sorted(float(m) for m in M_schedule)
-    sums = [band_sum(M) for M in schedule]
+    sums = [_band_sum(prof, M, 1e-9) for M in schedule]
     return _assemble_report(schedule, sums, target_f_at_1, tol)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, JetDepthError
 from .jets import jet_variable, jsin, jsinh
-from .numerics import QuadratureSpec, integrate
+from .numerics import QuadratureSpec, integrate_split, split_points
 from .cfunction import plancherel_density, poly_coefficients
 from .spherical import SpectralParams, phi, phi_derivative
 from .specfun import conical_p0
@@ -23,7 +23,6 @@ __all__ = [
     "dirichlet_asymptotic",
     "dirichlet_origin_odd",
     "shannon_delta",
-    "d2_normalization_factor",
 ]
 
 
@@ -41,26 +40,13 @@ class KernelParams:
         return self.M / self.spectral.R
 
 
-def _split_band(f, M, chi, abs_tol=1e-11, rel_tol=1e-11, max_sub=600):
-    """Integrate f over lambda in [0, M], pre-splitting at the pi/chi spacing
-    of the cos(lambda chi) oscillation."""
-    cuts = [0.0]
-    if chi > 0:
-        step = math.pi / chi
-        n = int(M / step)
-        stride = max(1, (n + 2047) // 2048)
-        for k in range(1, n + 1, stride):
-            u = k * step
-            if cuts[-1] < u < M:
-                cuts.append(u)
-    cuts.append(M)
-    nseg = len(cuts) - 1
-    spec = QuadratureSpec(abs_tol=abs_tol / nseg, rel_tol=rel_tol,
-                          max_subdivisions=max_sub)
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += integrate(f, lo, hi, spec).value
-    return total
+def _split_band(f, M, chi):
+    """Integrate f over lambda in [0, M], cut at the pi/chi spacing of the
+    cos(lambda chi) oscillation."""
+    cuts = split_points(0.0, M, math.pi / chi) if chi > 0 else [0.0, M]
+    spec = QuadratureSpec(abs_tol=1e-9 / (len(cuts) - 1), rel_tol=1e-11,
+                          max_subdivisions=600)
+    return integrate_split(f, cuts, spec).value
 
 
 def dirichlet_quadrature(kp, chi):
@@ -74,7 +60,7 @@ def dirichlet_quadrature(kp, chi):
     def f(lam):
         return phi(pa, lam, chi) * plancherel_density(pa, lam)
 
-    return _split_band(f, kp.M, chi, abs_tol=1e-9, rel_tol=1e-11)
+    return _split_band(f, kp.M, chi)
 
 
 def shannon_delta(M, chi):
@@ -146,14 +132,6 @@ def dirichlet_closed(kp, chi):
         "closed form available for d in {1,3,5}; use dirichlet_quadrature or dirichlet_recursion")
 
 
-def d2_normalization_factor():
-    """Conversion between the band-integral normalization
-    2^{2 rho}/(2 pi R^d) |c|^{-2} and the d = 2 convention
-    (1/R^2) lam tanh(pi lam): at rho = 1/2 they coincide, so the factor is
-    exactly 1."""
-    return 1.0
-
-
 def dirichlet_d2(kp, y):
     """d = 2 kernel as a function of y = cosh chi:
     (1/R^2) int_0^M P_{-1/2+i lam}(y) lam tanh(pi lam) d lam."""
@@ -165,7 +143,7 @@ def dirichlet_d2(kp, y):
     def f(lam):
         return conical_p0(lam, y) * lam * math.tanh(math.pi * lam)
 
-    return _split_band(f, kp.M, chi, abs_tol=1e-9, rel_tol=1e-11) / (R * R)
+    return _split_band(f, kp.M, chi) / (R * R)
 
 
 def _odd_recursion(kp, chi, k):
@@ -210,7 +188,7 @@ def dirichlet_recursion(kp, chi):
     def f(lam):
         return phi_derivative(pa, lam, chi) * plancherel_density(lower, lam)
 
-    integral = _split_band(f, kp.M, chi, abs_tol=1e-9, rel_tol=1e-11)
+    integral = _split_band(f, kp.M, chi)
     return math.cosh(chi) / (a_d * R * R) * integral
 
 

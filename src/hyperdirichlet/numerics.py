@@ -1,9 +1,10 @@
 """Adaptive quadrature, oscillatory integration and sequence extrapolation.
 
 All integrals in the package run through `integrate` (adaptive Gauss-Kronrod
-7/15 with bisection) or `integrate_oscillatory` (zero-splitting in front of
-the same adaptive core). Semi-infinite ranges are summed segment by segment
-with Wynn epsilon acceleration for alternating tails.
+7/15 with bisection). Oscillatory integrands are first cut at the zeros of
+their oscillator by `split_points` and integrated cell by cell with
+`integrate_split`. Semi-infinite ranges are summed segment by segment with
+Wynn epsilon acceleration for alternating tails.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "integrate",
-    "integrate_oscillatory",
+    "split_points",
+    "integrate_split",
     "extrapolate_limit",
 ]
 
@@ -28,7 +30,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    osc_split: bool = True
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -222,53 +223,38 @@ def integrate(f, lo, hi, spec=None):
     return IntegralResult(val, err, used)
 
 
-def integrate_oscillatory(envelope, frequency, phase, lo, hi, spec=None):
-    """Integrate envelope(u)*sin(frequency*u + phase) over [lo, hi].
+def split_points(lo, hi, step):
+    """lo, then every multiple of step strictly inside (lo, hi), then hi.
 
-    The range is pre-split at the oscillator zeros u_k = (k*pi - phase)/freq
-    before adaptive refinement, which keeps the Gauss-Kronrod error estimate
-    honest on rapidly oscillating integrands.
+    With step the half-period of an oscillator (pi/lambda for cos(lambda x))
+    no cell holds more than one half-period, which keeps the Gauss-Kronrod
+    error estimate of each cell honest.
     """
-    spec = spec or DEFAULT_SPEC
-    if frequency < 0:
-        raise DomainError("frequency must be >= 0")
-
-    def f(u):
-        return envelope(u) * math.sin(frequency * u + phase)
-
-    if frequency == 0.0 or not spec.osc_split:
-        return integrate(f, lo, hi, spec)
-    if hi == math.inf:
-        return integrate(f, lo, hi, spec)
-    k_lo = math.ceil((frequency * lo + phase) / math.pi)
-    k_hi = math.floor((frequency * hi + phase) / math.pi)
+    if not step > 0:
+        raise DomainError("split step must be positive")
     cuts = [lo]
-    nzeros = max(0, k_hi - k_lo + 1)
-    # Merge zeros into at most ~2048 segments so the panel budget stays sane.
-    stride = max(1, (nzeros + 2047) // 2048)
-    for k in range(k_lo, k_hi + 1, stride):
-        u = (k * math.pi - phase) / frequency
-        if cuts[-1] < u < hi:
-            cuts.append(u)
+    k = math.floor(lo / step) + 1
+    while k * step < hi:
+        if k * step > cuts[-1]:
+            cuts.append(k * step)
+        k += 1
     cuts.append(hi)
-    nseg = len(cuts) - 1
-    seg_tol = spec.abs_tol / max(1, nseg)
-    total = 0.0
-    toterr = 0.0
+    return cuts
+
+
+def integrate_split(f, cuts, spec=None):
+    """Integrate f over [cuts[0], cuts[-1]] by `integrate` on each cell
+    between consecutive cuts, with spec exactly as given on every cell.
+    Values, error estimates and panel counts are summed left to right."""
+    value = 0.0
+    error = 0.0
     used = 0
-    per_seg = max(8, spec.max_subdivisions // nseg) if nseg > 1 else spec.max_subdivisions
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        v, e, n = _adaptive(f, a, b, seg_tol, spec.rel_tol, per_seg)
-        total += v
-        toterr += e
-        used += n
-    if toterr > max(spec.abs_tol, spec.rel_tol * abs(total)) * 4.0:
-        raise QuadratureError(
-            "oscillatory integral did not converge",
-            value=total, error_estimate=toterr, subdivisions_used=used)
-    return IntegralResult(total, toterr, used)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        res = integrate(f, lo, hi, spec)
+        value += res.value
+        error += res.error_estimate
+        used += res.subdivisions_used
+    return IntegralResult(value, error, used)
 
 
 def extrapolate_limit(values, with_residual=False):

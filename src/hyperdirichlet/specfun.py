@@ -18,8 +18,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import scipy.special
+
 from .errors import ConvergenceError, DomainError, PoleError
-from .numerics import QuadratureSpec, integrate
+from .numerics import QuadratureSpec, integrate_split, split_points
 
 __all__ = [
     "HypergeometricParams",
@@ -254,6 +256,9 @@ def _mehler_dirichlet(rho, lam, chi):
     I = int_0^chi (cosh chi - cosh t)^{rho-1} cos(lam t) dt,
     computed after the substitution t = chi - u^2 which makes the integrand
     smooth (u^{2rho-1} times an analytic factor). Valid for rho >= 1/2.
+
+    With u2h = u^2/2, cosh chi - cosh t = 2 sinh(chi - u2h) sinh(u2h)
+    = sinh(chi - u2h) * (sinh(u2h)/u2h) * u^2.
     """
     if rho < 0.5:
         raise DomainError("Mehler-Dirichlet path needs rho >= 1/2")
@@ -265,29 +270,20 @@ def _mehler_dirichlet(rho, lam, chi):
 
     def integrand(u):
         u2h = 0.5 * u * u
-        s1 = 2.0 * math.sinh(chi - u2h)
+        s1 = math.sinh(chi - u2h)
         if u2h > 1e-8:
             ratio = math.sinh(u2h) / u2h
         else:
             ratio = 1.0 + u2h * u2h / 6.0
         return 2.0 * (s1 ** p) * (ratio ** p) * (u ** two_rho_m1) * math.cos(lam * (chi - u2h * 2.0))
 
-    umax = math.sqrt(chi)
     # Split at the stationary-phase zeros of cos(lam (chi - u^2)).
-    cuts = [0.0]
-    nz = int(lam * chi / math.pi)
-    stride = max(1, (nz + 1023) // 1024)
-    for k in range(1, nz + 1, stride):
-        u = math.sqrt(k * math.pi / lam)
-        if cuts[-1] < u < umax:
-            cuts.append(u)
-    cuts.append(umax)
+    ts = split_points(0.0, chi, math.pi / lam) if lam > 0 else [0.0, chi]
+    cuts = [math.sqrt(t) for t in ts]
     scale = math.sinh(chi) ** two_rho_m1 / C
-    spec = QuadratureSpec(abs_tol=max(1e-15, 1e-13 * scale) / max(1, len(cuts) - 1),
+    spec = QuadratureSpec(abs_tol=max(1e-15, 1e-13 * scale) / (len(cuts) - 1),
                           rel_tol=1e-13, max_subdivisions=400)
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += integrate(integrand, lo, hi, spec).value
+    total = integrate_split(integrand, cuts, spec).value
     return C * math.sinh(chi) ** (1.0 - two_rho_m1 - 1.0) * total
 
 
@@ -318,40 +314,10 @@ _BESSEL_CROSSOVER = 12.0
 
 
 def bessel_j(nu, x):
-    """Bessel J_nu(x) for nu >= 0, x >= 0: ascending series below the
-    crossover, Hankel large-argument asymptotic beyond."""
+    """Bessel J_nu(x) for nu >= 0, x >= 0."""
     if nu < 0 or x < 0:
         raise DomainError("bessel_j requires nu >= 0 and x >= 0")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if x <= _BESSEL_CROSSOVER:
-        t = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
-        total = t
-        q = 0.25 * x * x
-        for m in range(400):
-            t *= -q / ((m + 1.0) * (nu + m + 1.0))
-            total += t
-            if abs(t) <= 1e-18 * abs(total):
-                break
-        return total
-    mu = 4.0 * nu * nu
-    p = 1.0
-    q = 0.0
-    term = 1.0
-    prev = math.inf
-    for k in range(1, 40):
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * x * k)
-        if abs(term) >= prev:
-            break
-        prev = abs(term)
-        if k % 2 == 1:
-            q += term if (k // 2) % 2 == 0 else -term
-        else:
-            p += term if (k // 2) % 2 == 0 else -term
-        if abs(term) < 1e-18:
-            break
-    omega = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
+    return float(scipy.special.jv(nu, x))
 
 
 def spherical_bessel(a, x):

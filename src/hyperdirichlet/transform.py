@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import io
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, EnvelopeError, GridError
-from .numerics import QuadratureSpec, integrate
+from .numerics import QuadratureSpec, integrate, integrate_split, split_points
 from .numerics import _gk15
 from .spherical import SpectralParams, phi
 from .specfun import conical_p0
@@ -155,26 +156,11 @@ class DecayEnvelope:
 
 def _chi_oscillatory(f, lam, lo, hi, abs_tol=1e-11, rel_tol=1e-11):
     """Integrate f(chi) * (cos lam chi carried inside f) by zero pre-splitting."""
-    spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol, max_subdivisions=2000)
-    if lam <= 0:
-        return integrate(f, lo, hi, spec).value
-    step = math.pi / lam
-    cuts = [lo]
-    k = math.floor(lo / step) + 1
-    while k * step < hi:
-        if k * step > cuts[-1]:
-            cuts.append(k * step)
-        k += 1
-        if len(cuts) > 4096:
-            break
-    cuts.append(hi)
+    cuts = split_points(lo, hi, math.pi / lam) if lam > 0 else [lo, hi]
     nseg = len(cuts) - 1
-    seg_spec = QuadratureSpec(abs_tol=abs_tol / nseg, rel_tol=rel_tol,
-                              max_subdivisions=max(10, 2000 // nseg))
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += integrate(f, a, b, seg_spec).value
-    return total
+    spec = QuadratureSpec(abs_tol=abs_tol / nseg, rel_tol=rel_tol,
+                          max_subdivisions=max(10, 2000 // nseg))
+    return integrate_split(f, cuts, spec).value
 
 
 def _integrate_cells(g, cuts):
@@ -220,7 +206,6 @@ class _AbelCosineProfile:
     def __init__(self, f_of_y, y_max, chi_breaks=(), n_grid=2200):
         self.y_max = float(y_max)
         self.T = math.acosh(self.y_max)
-        self.f = f_of_y
         breaks = sorted(b for b in chi_breaks if 0.0 < b < self.T)
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
 
@@ -234,11 +219,8 @@ class _AbelCosineProfile:
                 if b > t:
                     cuts.append(math.sqrt(math.cosh(b) - ct))
             cuts.append(math.sqrt(smax_sq))
-            cuts = sorted(set(cuts))
-            total = 0.0
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                total += integrate(lambda s: 2.0 * f_of_y(ct + s * s), lo, hi, spec).value
-            return total
+            return integrate_split(lambda s: 2.0 * f_of_y(ct + s * s),
+                                   sorted(set(cuts)), spec).value
 
         us = np.linspace(0.0, 1.0, n_grid)
         # Graded nodes resolve the square-root vanishing at t = T; the uniform
@@ -250,6 +232,10 @@ class _AbelCosineProfile:
             + [0.0, self.T] + breaks))
         self._ts = np.array(ts)
         self._Fs = np.array([F_of(t) for t in ts])
+        # F can decay super-exponentially toward t = T and leave subnormal
+        # samples; PCHIP's harmonic mean of their secant slopes overflows, so
+        # they are flushed to the exact zeros it handles.
+        self._Fs[np.abs(self._Fs) < np.finfo(float).tiny] = 0.0
         self._interp = PchipInterpolator(self._ts, self._Fs, extrapolate=False)
         # Gauss-Legendre panels aligned with the interpolation cells turn each
         # cosine moment into one vectorized dot product; cells are subdivided
@@ -289,16 +275,22 @@ class _AbelCosineProfile:
         return math.sqrt(2.0) / math.pi * s
 
 
+def _radial_abel_profile(f):
+    """Abel profile of a RadialFunction read as a weight function of
+    y = cosh chi on (1, cosh a)."""
+    return _AbelCosineProfile(
+        lambda y: f.profile(math.acosh(y)) if y > 1.0 else f.profile(0.0),
+        math.cosh(f.support_bound),
+        chi_breaks=f.breakpoints[1:-1])
+
+
 def spectrum_table(f, params, lambda_grid):
     """Forward transform sampled on a grid. d = 2 uses the Abel reduction
     (one cached profile for the whole grid); other dimensions loop the
     direct quadrature."""
     lambda_grid = tuple(float(x) for x in lambda_grid)
     if params.d == 2:
-        prof = _AbelCosineProfile(
-            lambda y: f.profile(math.acosh(y)) if y > 1.0 else f.profile(0.0),
-            math.cosh(f.support_bound),
-            chi_breaks=f.breakpoints[1:-1])
+        prof = _radial_abel_profile(f)
         Rd = params.R ** 2
         vals = [Rd * prof.cosine_moment(lam) for lam in lambda_grid]
     else:
@@ -336,26 +328,15 @@ def fh_inverse(table, chi, lambda_max):
     return _integrate_cells(g, cells)
 
 
-def _d2_band_sum(f, params, M):
+def _band_sum(prof, M, abs_tol):
     """Spherical partial sum at the origin for d = 2 via the Abel reduction:
-    int_0^M lam tanh(pi lam) h(lam) dlam with h the cosine moment of f."""
-    prof = _AbelCosineProfile(
-        lambda y: f.profile(math.acosh(y)) if y > 1.0 else f.profile(0.0),
-        math.cosh(f.support_bound),
-        chi_breaks=f.breakpoints[1:-1])
-
+    int_0^M lam tanh(pi lam) h(lam) dlam with h the cosine moment of prof,
+    integrated in cells of width 8."""
     def g(lam):
         return lam * math.tanh(math.pi * lam) * prof.cosine_moment(lam)
 
-    spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-9, max_subdivisions=3000)
-    total = 0.0
-    step = 8.0
-    lo = 0.0
-    while lo < M:
-        hi = min(lo + step, M)
-        total += integrate(g, lo, hi, spec).value
-        lo = hi
-    return total
+    spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=1e-9, max_subdivisions=3000)
+    return integrate_split(g, split_points(0.0, M, 8.0), spec).value
 
 
 def partial_sum(f, params, M, chi=0.0):
@@ -365,7 +346,7 @@ def partial_sum(f, params, M, chi=0.0):
         raise DomainError("partial sums are implemented at the origin only")
     d = params.d
     if d == 2:
-        return _d2_band_sum(f, params, M)
+        return _band_sum(_radial_abel_profile(f), M, 1e-8)
     kp = KernelParams(params, M)
     if d in (1, 3, 5):
         kernel_at = lambda x: dirichlet_closed(kp, x)
@@ -385,12 +366,9 @@ def parseval_check(f, params, lambda_max, grid_step=0.25):
     Plancherel measure); the two agree up to the spectral tail."""
     d = params.d
     Rd = params.R ** d
-    norm_f = 0.0
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=2000)
-    for lo, hi in f.pieces():
-        norm_f += integrate(
-            lambda x: f.profile(x) ** 2 * math.sinh(x) ** (d - 1), lo, hi, spec).value
-    norm_f *= Rd
+    norm_f = Rd * integrate_split(
+        lambda x: f.profile(x) ** 2 * math.sinh(x) ** (d - 1), f.breakpoints, spec).value
 
     n = int(lambda_max / grid_step) + 1
     grid = [j * grid_step for j in range(n + 1)]
@@ -405,12 +383,16 @@ def parseval_check(f, params, lambda_max, grid_step=0.25):
     return norm_f, norm_spec
 
 
-_MF_CACHE = {}
+# Abel profiles of weight functions, held only as long as the function itself.
+_MF_CACHE = weakref.WeakKeyDictionary()
 
 
 def _mf_profile(f, envelope, tol=1e-11):
-    key = (id(f), envelope, tol)
-    prof = _MF_CACHE.get(key)
+    try:
+        profiles = _MF_CACHE.setdefault(f, {})
+    except TypeError:  # f does not support weak references: build uncached
+        profiles = {}
+    prof = profiles.get((envelope, tol))
     if prof is None:
         Y = envelope.truncation_point(tol / 10.0)
         for yy in (1.5, 3.0, 7.0, 0.5 * (1.0 + Y)):
@@ -418,7 +400,7 @@ def _mf_profile(f, envelope, tol=1e-11):
                 raise EnvelopeError(
                     f"declared decay envelope is violated at y = {yy}")
         prof = _AbelCosineProfile(f, Y)
-        _MF_CACHE[key] = prof
+        profiles[(envelope, tol)] = prof
     return prof
 
 
@@ -443,17 +425,10 @@ def mehler_fock_inverse(g, y, mu_max):
     if chi == 0.0:
         spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=3000)
         return integrate(h, 0.0, mu_max, spec).value
-    cuts = [0.0]
-    step = math.pi / chi
-    k = 1
-    while k * step < mu_max and len(cuts) < 4096:
-        cuts.append(k * step)
-        k += 1
-    cuts.append(mu_max)
+    cuts = split_points(0.0, mu_max, math.pi / chi)
     spec = QuadratureSpec(abs_tol=1e-10 / (len(cuts) - 1), rel_tol=1e-9,
                           max_subdivisions=800)
-    return sum(integrate(h, a, b, spec).value
-               for a, b in zip(cuts[:-1], cuts[1:]))
+    return integrate_split(h, cuts, spec).value
 
 
 def translate(g, x, y):
@@ -503,15 +478,9 @@ def convolve_band_kernel(f, kp, x, envelope=DecayEnvelope()):
                 * prof.cosine_moment(lam))
 
     chi = math.acosh(x) if x > 1.0 else 0.0
-    total = 0.0
     step = max(2.0, math.pi / max(chi, 1e-9))
     spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=2000)
-    lo = 0.0
-    while lo < kp.M:
-        hi = min(lo + step, kp.M)
-        total += integrate(g, lo, hi, spec).value
-        lo = hi
-    return total / kp.spectral.R ** 2
+    return integrate_split(g, split_points(0.0, kp.M, step), spec).value / kp.spectral.R ** 2
 
 
 def product_formula_residual(x, y, mu):

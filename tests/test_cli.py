@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -14,13 +11,6 @@ GOLDEN_CONFIGS = [
      "--method", "closed"],
     ["cfunc", "--d", "4", "--lambda", "0.5:20:8", "--format", "json"],
 ]
-
-
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
-    return subprocess.run([sys.executable, "-m", "hyperdirichlet.cli"] + args,
-                          capture_output=True, text=True, env=env)
 
 
 class TestGridSpec:
@@ -55,12 +45,11 @@ class TestDeterminism:
         assert outs[0].endswith(b"\n")
         assert b"\r" not in outs[0]
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        config = ["phi", "--d", "4", "--lambda", "0:20:7", "--chi", "0.1:3:7"]
-        r1 = run_cli(config)
-        r2 = run_cli(config, {"HYPERDIRICHLET_THREADS": "4"})
-        assert r1.returncode == r2.returncode == 0
-        assert r1.stdout == r2.stdout
+    def test_converge_honours_format(self, capsys):
+        rc = main(["converge", "--d", "3", "--f", "linear-ramp",
+                   "--schedule", "25,50,100", "--format=csv"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("M,partial_sum,abs_error\n25,")
 
 
 class TestGoldenValues:

@@ -9,8 +9,7 @@ from hyperdirichlet.spherical import SpectralParams
 from hyperdirichlet.kernel import (KernelParams, dirichlet_quadrature,
                                    dirichlet_closed, dirichlet_d2,
                                    dirichlet_recursion, dirichlet_asymptotic,
-                                   dirichlet_origin_odd, shannon_delta,
-                                   d2_normalization_factor)
+                                   dirichlet_origin_odd, shannon_delta)
 from hyperdirichlet.specfun import bessel_j
 
 
@@ -63,15 +62,12 @@ class TestThreeWayAgreement:
         kp = KernelParams(SpectralParams(3), 10.0)
         assert dirichlet_closed(kp, 1.0) == dirichlet_closed(kp, -1.0)
 
-    def test_d2_normalization_factor_is_one(self):
-        assert d2_normalization_factor() == 1.0
-
     def test_d2_conventions_consistent(self):
         # dirichlet_d2(y) must equal the band quadrature at chi = acosh(y)
         pa = SpectralParams(2)
         kp = KernelParams(pa, 10.0)
         chi = 1.2
-        lhs = dirichlet_d2(kp, math.cosh(chi)) * d2_normalization_factor()
+        lhs = dirichlet_d2(kp, math.cosh(chi))
         rhs = dirichlet_quadrature(kp, chi)
         assert abs(lhs - rhs) < 1e-8
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperdirichlet.errors import DomainError
-from hyperdirichlet.numerics import (QuadratureSpec, integrate,
-                                     integrate_oscillatory, extrapolate_limit)
+from hyperdirichlet.numerics import (QuadratureSpec, integrate, integrate_split,
+                                     split_points, extrapolate_limit)
 from hyperdirichlet.jets import (derivatives_taylor, jet_variable, jsin, jcos,
                                  jsinh, jcosh, jexp)
 
@@ -52,30 +52,50 @@ class TestIntegrate:
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
 
+def oscillatory(envelope, frequency, phase, lo, hi):
+    """int_lo^hi envelope(u) sin(frequency u + phase) du, cut every half-period."""
+    return integrate_split(lambda u: envelope(u) * math.sin(frequency * u + phase),
+                           split_points(lo, hi, math.pi / frequency), TIGHT)
+
+
 class TestOscillatory:
     def test_pure_sine_segment(self):
-        res = integrate_oscillatory(lambda u: 1.0, 10.0, 0.0, 0.0, math.pi / 10.0, TIGHT)
+        res = oscillatory(lambda u: 1.0, 10.0, 0.0, 0.0, math.pi / 10.0)
         assert abs(res.value - 0.2) < 1e-12
 
     def test_decaying_envelope(self):
         # int_0^inf e^{-u} sin(u) du = 1/2 over a long finite window
-        res = integrate_oscillatory(lambda u: math.exp(-u), 1.0, 0.0, 0.0, 40.0, TIGHT)
+        res = oscillatory(lambda u: math.exp(-u), 1.0, 0.0, 0.0, 40.0)
         assert abs(res.value - 0.5) < 1e-10
 
     def test_fast_oscillation(self):
         # int_0^1 u sin(200 u) du
         exact = (math.sin(200.0) - 200.0 * math.cos(200.0)) / 200.0 ** 2
-        res = integrate_oscillatory(lambda u: u, 200.0, 0.0, 0.0, 1.0, TIGHT)
+        res = oscillatory(lambda u: u, 200.0, 0.0, 0.0, 1.0)
         assert abs(res.value - exact) < 1e-11
 
     def test_phase_shift_gives_cosine(self):
         # sin(x + pi/2) = cos(x)
-        res = integrate_oscillatory(lambda u: 1.0, 5.0, 0.5 * math.pi, 0.0, 1.0, TIGHT)
+        res = oscillatory(lambda u: 1.0, 5.0, 0.5 * math.pi, 0.0, 1.0)
         assert abs(res.value - math.sin(5.0) / 5.0) < 1e-12
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(DomainError):
-            integrate_oscillatory(lambda u: 1.0, -1.0, 0.0, 0.0, 1.0, TIGHT)
+            oscillatory(lambda u: 1.0, -1.0, 0.0, 0.0, 1.0)
+
+    def test_split_points(self):
+        assert split_points(0.0, 2.0, 0.5) == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert split_points(0.3, 1.2, 0.5) == [0.3, 0.5, 1.0, 1.2]
+        assert split_points(0.0, 0.4, 0.5) == [0.0, 0.4]
+
+    def test_split_sums_cells_left_to_right(self):
+        f = lambda x: math.exp(x)
+        cuts = [0.0, 0.5, 1.25, 2.0]
+        cells = [integrate(f, a, b, TIGHT) for a, b in zip(cuts[:-1], cuts[1:])]
+        res = integrate_split(f, cuts, TIGHT)
+        assert res.value == (0.0 + cells[0].value) + cells[1].value + cells[2].value
+        assert res.error_estimate == sum(c.error_estimate for c in cells)
+        assert res.subdivisions_used == sum(c.subdivisions_used for c in cells)
 
 
 class TestJets:

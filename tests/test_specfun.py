@@ -4,13 +4,13 @@ import random
 
 import mpmath as mp
 import pytest
-import scipy.special as sps
 
 from hyperdirichlet.errors import ConvergenceError, DomainError, PoleError
 from hyperdirichlet.specfun import (HypergeometricParams, bessel_j,
                                     complex_log_gamma, conical_p0, gauss_2f1,
                                     gamma_modulus_sq, spherical_bessel,
-                                    _hyp2f1_ex)
+                                    _hyp2f1_ex, _mehler_dirichlet)
+from hyperdirichlet.spherical import SpectralParams, phi
 
 
 class TestComplexLogGamma:
@@ -137,16 +137,40 @@ class TestConical:
             conical_p0(1.0, 0.5)
 
 
+def phi_mpmath(d, lam, chi):
+    rho = 0.5 * (d - 1)
+    with mp.workdps(30):
+        return float(mp.re(mp.hyp2f1(0.5 * (rho + 1j * lam), 0.5 * (rho - 1j * lam),
+                                     rho + 0.5, -mp.sinh(chi) ** 2)))
+
+
+class TestMehlerDirichlet:
+    # The public phi reaches this path only where the 2F1 cancellation
+    # estimate gives up, so it is checked directly.
+    def test_against_mpmath(self):
+        for d in (2, 4, 5, 6, 7, 8, 10, 16):
+            for lam in (0.5, 7.0, 38.86, 100.0, 225.0):
+                for chi in (0.0578, 0.217, 0.5, 1.0, 3.0):
+                    ref = phi_mpmath(d, lam, chi)
+                    got = _mehler_dirichlet(0.5 * (d - 1), lam, chi)
+                    assert got == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+    def test_phi_where_the_fallback_fires(self):
+        assert phi(SpectralParams(6), 38.8615, 0.216953) == pytest.approx(
+            phi_mpmath(6, 38.8615, 0.216953), rel=1e-10, abs=1e-14)
+
+
 class TestBessel:
     def test_first_zero_of_j0(self):
         x0 = 2.404825557695773
         assert abs(bessel_j(0.0, x0)) < 1e-12
 
-    def test_series_and_asymptotic_against_scipy(self):
-        for nu in (0.0, 0.5, 1.0, 2.5):
-            for x in (0.3, 3.0, 11.0, 13.0, 40.0, 200.0):
-                assert bessel_j(nu, x) == pytest.approx(
-                    float(sps.jv(nu, x)), rel=1e-9, abs=1e-12)
+    def test_against_mpmath(self):
+        grid = [(nu, x) for nu in (0.0, 0.5, 1.0, 2.5)
+                for x in (0.3, 3.0, 11.0, 13.0, 40.0, 200.0)] + [(12.0, 15.0)]
+        for nu, x in grid:
+            assert bessel_j(nu, x) == pytest.approx(
+                float(mp.besselj(nu, x)), rel=1e-9, abs=1e-12)
 
     def test_bessel_equation_residual(self):
         nu, x, h = 1.5, 7.0, 1e-4

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import mpmath as mp
@@ -13,7 +14,7 @@ from hyperdirichlet.transform import (RadialFunction, SpectrumTable,
                                       mehler_fock_inverse, translate,
                                       translate_kernel, convolve,
                                       convolve_band_kernel,
-                                      product_formula_residual)
+                                      product_formula_residual, _MF_CACHE)
 
 
 def bump(a=1.0):
@@ -56,6 +57,20 @@ class TestForward:
             lambda x: mp.sin(lam * x) / (lam * mp.sinh(x)) * mp.sinh(x) ** 2,
             [0, a]))
         assert fh_forward(f, pa, lam) == pytest.approx(ref, rel=1e-10)
+
+    def test_linear_ramp_d3_at_high_frequency(self):
+        # 6366 half-periods of sin(lam chi) on the support: every one is its
+        # own quadrature cell, however many there are.
+        a, lam = 2.0, 1e4
+        f = RadialFunction(lambda x: 1.0 - x / a, a)
+
+        def moment(s):  # int_0^a (1 - x/a) e^{s x} dx
+            e = mp.exp(s * a)
+            return (e - 1) / s - (e * (a / s - 1 / s ** 2) + 1 / s ** 2) / a
+
+        with mp.workdps(40):
+            ref = float(mp.im(moment(1 + 1j * lam) - moment(-1 + 1j * lam)) / (2 * lam))
+        assert fh_forward(f, SpectralParams(3), lam) == pytest.approx(ref, rel=1e-8)
 
     def test_linearity(self):
         pa = SpectralParams(3)
@@ -204,6 +219,21 @@ class TestMehlerFock:
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=2000)
         total = integrate(g, 0.0, 40.0, spec).value
         assert abs(total - 1.0) < 1e-5
+
+    def test_profile_cache_does_not_keep_the_function(self):
+        f = lambda y: math.exp(-(y - 1.0))
+        mehler_fock_forward(f, 1.5, EXP_ENV)
+        assert f in _MF_CACHE
+        entries = len(_MF_CACHE)
+        del f
+        gc.collect()
+        assert len(_MF_CACHE) == entries - 1
+
+    def test_profile_of_function_without_weak_references(self):
+        # numpy ufuncs cannot be weakly referenced; their profile is built uncached.
+        from scipy.special import erfc
+        assert mehler_fock_forward(erfc, 1.5, EXP_ENV) == mehler_fock_forward(
+            lambda y: erfc(y), 1.5, EXP_ENV)
 
     def test_envelope_violation_detected(self):
         f = lambda y: 10.0 * math.exp(-0.1 * (y - 1.0))
