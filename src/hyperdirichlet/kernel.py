@@ -6,9 +6,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, JetDepthError
-from .jets import jet_variable, jsin, jsinh
 from .numerics import QuadratureSpec, integrate_split, split_points
 from .cfunction import plancherel_density, poly_coefficients
 from .spherical import SpectralParams, phi, phi_derivative
@@ -146,26 +146,97 @@ def dirichlet_d2(kp, y):
     return _split_band(f, kp.M, chi) / (R * R)
 
 
-def _odd_recursion(kp, chi, k):
-    """(hat A)^k applied to shannon_delta via jet arithmetic, hat A = (1/sinh chi) d/dchi."""
-    order = k + 2
-    if order > 24:
-        raise JetDepthError("recursion depth exceeds supported jet order")
-    t = jet_variable(chi, order)
-    g = jsin(kp.M * t) / (math.pi * t)
-    s = jsinh(t)
+def _derive_divide(g, s):
+    """Taylor coefficients of g'/s from those of g and s: one (hat A) step,
+    one coefficient shorter than g."""
+    q = []
+    for n in range(len(g) - 1):
+        acc = (n + 1) * g[n + 1]
+        for j in range(1, n + 1):
+            acc -= s[j] * q[n - j]
+        q.append(acc / s[0])
+    return q
+
+
+_ORIGIN_TERMS = 60
+
+
+def _shannon_series(M, n):
+    """First n coefficients in w = t^2 of sin(M t)/(pi t)."""
+    c = [M / math.pi]
+    for j in range(1, n):
+        c.append(-c[-1] * M * M / ((2 * j) * (2 * j + 1)))
+    return c
+
+
+@lru_cache(maxsize=64)
+def _origin_series(M, k):
+    """Coefficients in w = t^2 of (hat A)^k [sin(M t)/(pi t)] about t = 0.
+    With f(t) = F(t^2) and sinh t = t S(t^2), hat A f = F'(w) / (S(w)/2)."""
+    n = _ORIGIN_TERMS + k
+    half_s = [0.5]
+    for j in range(1, n):
+        half_s.append(half_s[-1] / ((2 * j) * (2 * j + 1)))
+    g = _shannon_series(M, n)
     for _ in range(k):
-        g = g.derivative() / s
+        g = _derive_divide(g, half_s)
+    return tuple(g)
+
+
+def _point_series(M, chi, k):
+    """(hat A)^k [sin(M t)/(pi t)] at t = chi from Taylor coefficients in h
+    about chi. For M chi < 6 those of sin(M t)/(pi t) come from 30 terms of
+    its even series (the last below 1e-36), since dividing by pi (chi + h)
+    would cancel; otherwise from those of sin(M (chi + h)) divided by
+    pi (chi + h)."""
+    sh = math.sinh(chi)
+    ch = math.cosh(chi)
+    s = [sh]
+    for n in range(1, k + 1):
+        s.append((ch if n % 2 else sh) / math.factorial(n))
+    if M * chi < 6.0:
+        c = _shannon_series(M, 30)
+        g = [sum(c[j] * math.comb(2 * j, n) * chi ** (2 * j - n)
+                 for j in range((n + 1) // 2, 30)) for n in range(k + 1)]
+    else:
+        sm = math.sin(M * chi)
+        cm = math.cos(M * chi)
+        g = [sm / (math.pi * chi)]
+        mpow = 1.0
+        for n in range(1, k + 1):
+            mpow *= M / n
+            a = mpow * (sm, cm, -sm, -cm)[n % 4]
+            g.append((a - math.pi * g[-1]) / (math.pi * chi))
+    for _ in range(k):
+        g = _derive_divide(g, s)
+    return g[0]
+
+
+def _odd_recursion(kp, chi, k):
+    """(hat A)^k applied to shannon_delta, hat A = (1/sinh chi) d/dchi, on
+    plain Taylor coefficients: summed from the even series about the origin
+    when chi < 1.2 and M chi < 6, where dividing by sinh chi at the point
+    would cancel, and expanded about chi elsewhere."""
+    if k + 2 > 24:
+        raise JetDepthError("recursion depth exceeds supported jet order")
+    M = kp.M
+    if chi < 1.2 and M * chi < 6.0:
+        w = chi * chi
+        value = 0.0
+        for c in reversed(_origin_series(M, k)):
+            value = value * w + c
+    else:
+        value = _point_series(M, chi, k)
     dfact = 1.0
     for j in range(1, k + 1):
         dfact *= 2 * j - 1
     pref = 2.0 * (-1.0) ** k / (dfact * kp.spectral.R ** (2 * k + 1))
-    return pref * g.value
+    return pref * value
 
 
 def dirichlet_recursion(kp, chi):
-    """Dimension recursion: odd d chains (hat A)^k delta_M with exact jet
-    derivatives; even d applies one step of the d -> d-2 relation,
+    """Dimension recursion: odd d chains (hat A)^k delta_M on Taylor
+    coefficients; even d applies one step of the d -> d-2 relation,
     differentiating under the spectral integral with the closed derivative
     of the spherical function."""
     chi = abs(chi)

@@ -78,7 +78,8 @@ _WG = (
 
 
 def _gk15(f, lo, hi):
-    """One Gauss-Kronrod panel. Returns (kronrod, |K-G|-based error, resabs)."""
+    """One Gauss-Kronrod panel. Returns (kronrod, |K-G|-based error, floor):
+    the error is never below its rounding floor 50 eps int |f|."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     fc = f(c)
@@ -112,13 +113,15 @@ def _gk15(f, lo, hi):
     scale = 50.0 * math.ulp(1.0) * resabs
     if scale > 0:
         err = max(err, scale)
-    return resk, err, resabs
+    return resk, err, scale
 
 
 def _adaptive(f, lo, hi, abs_tol, rel_tol, max_subdivisions):
-    """Heap-driven bisection. Returns (value, error, panels_used)."""
-    val, err, _ = _gk15(f, lo, hi)
-    heap = [(-err, lo, hi, val, err)]
+    """Heap-driven bisection. Returns (value, error, panels_used, at_floor);
+    at_floor tells, once the panel budget is spent, that every panel's
+    error is its rounding floor, so more bisection cannot lower the total."""
+    val, err, floor = _gk15(f, lo, hi)
+    heap = [(-err, lo, hi, val, err, floor)]
     total = val
     toterr = err
     used = 1
@@ -126,24 +129,25 @@ def _adaptive(f, lo, hi, abs_tol, rel_tol, max_subdivisions):
         tol = max(abs_tol, rel_tol * abs(total))
         if toterr <= tol:
             break
-        negerr, a, b, v, e = heapq.heappop(heap)
+        negerr, a, b, v, e, _ = heapq.heappop(heap)
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             # Panel narrower than floating point spacing; accept as is.
-            heapq.heappush(heap, (0.0, a, b, v, 0.0))
+            heapq.heappush(heap, (0.0, a, b, v, 0.0, 0.0))
             toterr -= e
             continue
-        v1, e1, _ = _gk15(f, a, m)
-        v2, e2, _ = _gk15(f, m, b)
+        v1, e1, fl1 = _gk15(f, a, m)
+        v2, e2, fl2 = _gk15(f, m, b)
         total += v1 + v2 - v
         toterr += e1 + e2 - e
-        heapq.heappush(heap, (-e1, a, m, v1, e1))
-        heapq.heappush(heap, (-e2, m, b, v2, e2))
+        heapq.heappush(heap, (-e1, a, m, v1, e1, fl1))
+        heapq.heappush(heap, (-e2, m, b, v2, e2, fl2))
         used += 1
     # Recompute sums from the heap for a rounding-robust final answer.
     total = math.fsum(item[3] for item in heap)
     toterr = math.fsum(item[4] for item in heap)
-    return total, toterr, used
+    at_floor = used >= max_subdivisions and all(item[4] <= item[5] for item in heap)
+    return total, toterr, used, at_floor
 
 
 def _wynn_epsilon(partials):
@@ -178,8 +182,8 @@ def _integrate_semi_infinite(f, lo, spec):
     for k in range(max_segments):
         a = lo + k * seg
         b = lo + (k + 1) * seg
-        v, e, n = _adaptive(f, a, b, spec.abs_tol / 64.0, spec.rel_tol,
-                            max(8, budget // 16))
+        v, e, n, _ = _adaptive(f, a, b, spec.abs_tol / 64.0, spec.rel_tol,
+                               max(8, budget // 16))
         total += v
         err += e
         used += n
@@ -208,15 +212,21 @@ def _integrate_semi_infinite(f, lo, spec):
 
 
 def integrate(f, lo, hi, spec=None):
-    """Adaptively integrate f over (lo, hi); hi may be math.inf."""
+    """Adaptively integrate f over (lo, hi); hi may be math.inf.
+
+    Raises QuadratureError when the panel budget is spent short of the
+    tolerance, unless every panel has reached its rounding floor: then the
+    floor-limited value is returned with the sum of the floors as its error.
+    """
     spec = spec or DEFAULT_SPEC
     if hi == math.inf:
         return _integrate_semi_infinite(f, lo, spec)
     if lo == hi:
         return IntegralResult(0.0, 0.0, 0)
-    val, err, used = _adaptive(f, lo, hi, spec.abs_tol, spec.rel_tol,
-                               spec.max_subdivisions)
-    if err > max(spec.abs_tol, spec.rel_tol * abs(val)) and used >= spec.max_subdivisions:
+    val, err, used, at_floor = _adaptive(f, lo, hi, spec.abs_tol, spec.rel_tol,
+                                         spec.max_subdivisions)
+    if (err > max(spec.abs_tol, spec.rel_tol * abs(val)) and used >= spec.max_subdivisions
+            and not at_floor):
         raise QuadratureError(
             "integral did not converge within max_subdivisions",
             value=val, error_estimate=err, subdivisions_used=used)

@@ -98,6 +98,20 @@ class TestGoldenValues:
         assert data["target"] == 1.0
         assert len(data["M_schedule"]) == 4
 
+    def test_kernel_recursion_near_origin(self, capsys):
+        rc = main(["kernel", "--d", "9", "--M", "25", "--chi", "0.002",
+                   "--method", "recursion"])
+        assert rc == 0
+        D = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert D == pytest.approx(2.518226058924e7, rel=1e-10)
+
+    def test_converge_d7_bump(self, capsys):
+        rc = main(["converge", "--d", "7", "--f", "bump",
+                   "--schedule", "23,46,92,184"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["M_schedule"] == [23.0, 46.0, 92.0, 184.0]
+
     def test_limits_bessel(self, capsys):
         rc = main(["limits", "--mode", "bessel", "--d", "3", "--p", "1",
                    "--r", "1", "--Rgrid", "10:40:3"])

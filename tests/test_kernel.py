@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 
 from hyperdirichlet.errors import DomainError
@@ -41,6 +42,17 @@ class TestThreeWayAgreement:
                     assert abs(quad - closed) < 1e-7
                     assert abs(rec - closed) < 1e-7
 
+    def test_odd_dimensions_beyond_closed_forms(self):
+        # D reaches ~1e5 here, so the bound is relative
+        for d in (7, 9):
+            pa = SpectralParams(d)
+            for M in (5.0, 20.0):
+                kp = KernelParams(pa, M)
+                for chi in (0.3, 1.0, 2.0):
+                    quad = dirichlet_quadrature(kp, chi)
+                    rec = dirichlet_recursion(kp, chi)
+                    assert rec == pytest.approx(quad, rel=1e-9)
+
     def test_even_dimensions(self):
         for d in (2, 4):
             pa = SpectralParams(d)
@@ -70,6 +82,43 @@ class TestThreeWayAgreement:
         lhs = dirichlet_d2(kp, math.cosh(chi))
         rhs = dirichlet_quadrature(kp, chi)
         assert abs(lhs - rhs) < 1e-8
+
+
+def _recursion_oracle(d, M, chi):
+    """hat A = d/dz with z = cosh chi, so D^{(2k+1)} is 2 (-1)^k / (2k-1)!!
+    times the k-th z-derivative of sin(M arccosh z) / (pi arccosh z)."""
+    k = (d - 1) // 2
+    with mpmath.workdps(50):
+        M = mpmath.mpf(M)
+
+        def delta(z):
+            t = mpmath.acosh(z)
+            return mpmath.sin(M * t) / (mpmath.pi * t)
+
+        deriv = mpmath.re(mpmath.diff(delta, mpmath.cosh(mpmath.mpf(chi)), k))
+        return float(2 * (-1) ** k * deriv / mpmath.fac2(2 * k - 1))
+
+
+class TestRecursionAgainstMpmath:
+    @pytest.mark.parametrize("d", (3, 5, 7, 9, 11, 15, 19))
+    def test_odd_dimensions_on_wide_grid(self, d):
+        pa = SpectralParams(d)
+        for M in (0.1, 0.5, 4.0, 25.0, 160.0):
+            kp = KernelParams(pa, M)
+            for chi in (0.002, 0.02, 0.05, 0.3, 1.0, 2.0, 5.0):
+                assert dirichlet_recursion(kp, chi) == pytest.approx(
+                    _recursion_oracle(d, M, chi), rel=1e-10, abs=0.0)
+
+    def test_small_band_limit_past_the_origin_series(self):
+        # M chi << 1 at chi >= 1.2: dividing by pi chi at the point would
+        # cancel to (M chi)^2
+        for d in (7, 19):
+            pa = SpectralParams(d)
+            for M in (0.001, 0.1):
+                kp = KernelParams(pa, M)
+                for chi in (1.21, 3.0):
+                    assert dirichlet_recursion(kp, chi) == pytest.approx(
+                        _recursion_oracle(d, M, chi), rel=1e-10, abs=0.0)
 
 
 class TestOrigin:

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperdirichlet.errors import DomainError
+from hyperdirichlet.errors import DomainError, QuadratureError
 from hyperdirichlet.numerics import (QuadratureSpec, integrate, integrate_split,
                                      split_points, extrapolate_limit)
 from hyperdirichlet.jets import (derivatives_taylor, jet_variable, jsin, jcos,
@@ -40,6 +40,20 @@ class TestIntegrate:
         res = integrate(lambda x: math.cos(x), 0.0, 1.0, TIGHT)
         assert abs(res.value - math.sin(1.0)) <= max(res.error_estimate, 1e-14)
         assert res.subdivisions_used >= 0
+
+    def test_rounding_floor_ends_bisection(self):
+        # no tolerance can be met, but every panel's error is its rounding
+        # floor 50 eps int |f|, so the spent budget returns the value
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=5)
+        res = integrate(lambda x: x * x, 0.0, 1.0, spec)
+        assert abs(res.value - 1.0 / 3.0) < 1e-15
+        assert res.subdivisions_used == 5
+        assert 0.0 < res.error_estimate < 1e-12
+
+    def test_unconverged_budget_still_raises(self):
+        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=5)
+        with pytest.raises(QuadratureError):
+            integrate(lambda x: math.sqrt(x), 0.0, 1.0, spec)
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))

@@ -174,6 +174,17 @@ class TestPartialSum:
         # 0.25-step sampling
         assert abs(direct - via_spectrum) < 5e-4
 
+    def test_d7_at_the_rounding_floor(self):
+        # cells of these sums spend their panel budget at the rounding
+        # floor; with ten times the budget they give 1.0307072235861598
+        # and -8.059071414040845
+        pa = SpectralParams(7)
+        assert partial_sum(bump(), pa, 184.0) == pytest.approx(
+            1.0307072235861598, abs=1e-10)
+        ramp = RadialFunction(lambda x: 1.0 - x, 1.0)
+        assert partial_sum(ramp, pa, 144.0) == pytest.approx(
+            -8.059071414040845, abs=1e-10)
+
     def test_d5_recursion_path_vs_boundary_audit(self):
         from hyperdirichlet.convergence import example_d5_boundary_audit
         pa = SpectralParams(5)
