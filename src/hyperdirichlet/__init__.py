@@ -26,7 +26,6 @@ from .numerics import (
 )
 from .specfun import (
     HypergeometricParams,
-    complex_log_gamma,
     gamma_modulus_sq,
     gauss_2f1,
     conical_p0,

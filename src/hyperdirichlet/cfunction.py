@@ -6,8 +6,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from scipy.special import loggamma
+
 from .errors import DomainError, PoleError
-from .specfun import complex_log_gamma
 
 __all__ = [
     "PlancherelPoly",
@@ -46,10 +47,10 @@ def c_modulus_sq_gamma(params, lam):
     if rho == 0.0:
         return 0.25
     lg = ((2.0 * rho - 1.0) * math.log(2.0)
-          + complex_log_gamma(1j * lam).real
+          + loggamma(1j * lam).real
           + math.lgamma(rho + 0.5)
           - 0.5 * math.log(math.pi)
-          - complex_log_gamma(rho + 1j * lam).real)
+          - loggamma(rho + 1j * lam).real)
     return math.exp(2.0 * lg)
 
 

@@ -8,8 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .jets import derivatives_taylor, jsin
+from .errors import DomainError, JetDepthError
 from .numerics import extrapolate_limit
 from .kernel import shannon_delta, _delta1
 from .transform import (DecayEnvelope, _band_sum, _chi_oscillatory, _mf_profile,
@@ -231,14 +230,12 @@ def converge_d2(f, M_schedule, target_f_at_1, tol, envelope=DecayEnvelope()):
 
 def delta_limit_audit(l, M):
     """One-sided limits at 0 of the delta-kernel derivatives: returns
-    (lim delta_M^{(2l)}, lim delta_M^{(2l+1)}). The even-order limit has
-    magnitude M^{2l+1} / ((2l+1) pi) and sign (-1)^l; the odd-order limit
-    vanishes."""
+    (lim delta_M^{(2l)}, lim delta_M^{(2l+1)}). From the Taylor series
+    sin(Mt)/(pi t) = sum_l (-1)^l M^{2l+1} t^{2l} / ((2l+1)! pi), the even-order
+    limit is (-1)^l M^{2l+1} / ((2l+1) pi) and the odd-order limit vanishes.
+    Derivative orders up to 21 (l <= 10) are supported."""
     if l < 0:
         raise DomainError("derivative order index l must be >= 0")
-
-    def g(t):
-        return jsin(M * t) / (math.pi * t)
-
-    derivs = derivatives_taylor(g, 0.0, 2 * l + 1)
-    return derivs[2 * l], derivs[2 * l + 1]
+    if l > 10:
+        raise JetDepthError(f"derivative order {2 * l + 1} exceeds the supported depth 21")
+    return (-1.0) ** l * M ** (2 * l + 1) / ((2 * l + 1) * math.pi), 0.0

@@ -1,10 +1,10 @@
 """Adaptive quadrature, oscillatory integration and sequence extrapolation.
 
 All integrals in the package run through `integrate` (adaptive Gauss-Kronrod
-7/15 with bisection). Oscillatory integrands are first cut at the zeros of
-their oscillator by `split_points` and integrated cell by cell with
-`integrate_split`. Semi-infinite ranges are summed segment by segment with
-Wynn epsilon acceleration for alternating tails.
+7/15 with bisection) over finite ranges. Oscillatory integrands are first
+cut at the zeros of their oscillator by `split_points` and integrated cell
+by cell with `integrate_split`. `extrapolate_limit` is Neville extrapolation
+of a sequence in 1/parameter.
 """
 
 from __future__ import annotations
@@ -150,77 +150,16 @@ def _adaptive(f, lo, hi, abs_tol, rel_tol, max_subdivisions):
     return total, toterr, used, at_floor
 
 
-def _wynn_epsilon(partials):
-    """Wynn epsilon acceleration; returns best estimate of lim of partials."""
-    n = len(partials)
-    cur = list(partials)
-    prev = [0.0] * n
-    best = partials[-1]
-    for k in range(1, n):
-        nxt = []
-        for i in range(len(cur) - 1):
-            d = cur[i + 1] - cur[i]
-            if d == 0.0:
-                return cur[i + 1]
-            nxt.append(prev[i + 1] + 1.0 / d)
-        prev = cur
-        cur = nxt
-        if k % 2 == 0 and cur:
-            best = cur[-1]
-    return best
-
-
-def _integrate_semi_infinite(f, lo, spec):
-    seg = math.pi
-    partials = []
-    vals = []
-    total = 0.0
-    err = 0.0
-    used = 0
-    max_segments = 512
-    budget = max(spec.max_subdivisions, 64)
-    for k in range(max_segments):
-        a = lo + k * seg
-        b = lo + (k + 1) * seg
-        v, e, n, _ = _adaptive(f, a, b, spec.abs_tol / 64.0, spec.rel_tol,
-                               max(8, budget // 16))
-        total += v
-        err += e
-        used += n
-        vals.append(v)
-        partials.append(total)
-        if k >= 3 and all(abs(x) < spec.abs_tol / 10.0 for x in vals[-3:]):
-            return IntegralResult(total, err + abs(vals[-1]), used)
-        if k >= 11 and k % 4 == 3:
-            tail = vals[-8:]
-            alternating = all(tail[i] * tail[i + 1] < 0 for i in range(len(tail) - 1))
-            if alternating:
-                acc1 = _wynn_epsilon(partials[-13:-1])
-                acc2 = _wynn_epsilon(partials[-12:])
-                if abs(acc2 - acc1) < spec.abs_tol / 2.0:
-                    return IntegralResult(acc2, err + abs(acc2 - acc1), used)
-    if len(vals) > 12:
-        tail = vals[-8:]
-        if all(tail[i] * tail[i + 1] < 0 for i in range(len(tail) - 1)):
-            acc1 = _wynn_epsilon(partials[:-1])
-            acc2 = _wynn_epsilon(partials)
-            if abs(acc2 - acc1) < 10.0 * spec.abs_tol:
-                return IntegralResult(acc2, err + abs(acc2 - acc1), used)
-    raise QuadratureError(
-        "semi-infinite integral did not settle within the segment budget",
-        value=total, error_estimate=err + abs(vals[-1]), subdivisions_used=used)
-
-
 def integrate(f, lo, hi, spec=None):
-    """Adaptively integrate f over (lo, hi); hi may be math.inf.
+    """Adaptively integrate f over the finite range (lo, hi).
 
     Raises QuadratureError when the panel budget is spent short of the
     tolerance, unless every panel has reached its rounding floor: then the
     floor-limited value is returned with the sum of the floors as its error.
     """
     spec = spec or DEFAULT_SPEC
-    if hi == math.inf:
-        return _integrate_semi_infinite(f, lo, spec)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("integration bounds must be finite")
     if lo == hi:
         return IntegralResult(0.0, 0.0, 0)
     val, err, used, at_floor = _adaptive(f, lo, hi, spec.abs_tol, spec.rel_tol,
@@ -267,7 +206,7 @@ def integrate_split(f, cuts, spec=None):
     return IntegralResult(value, error, used)
 
 
-def extrapolate_limit(values, with_residual=False):
+def extrapolate_limit(values):
     """Extrapolate a (parameter, value) sequence to parameter -> infinity.
 
     Neville polynomial extrapolation in x = 1/parameter toward x = 0,
@@ -282,14 +221,8 @@ def extrapolate_limit(values, with_residual=False):
     xs = [1.0 / p for p in params]
     tab = [v for _, v in pts]
     n = len(tab)
-    prev_diag = tab[0]
     for j in range(1, n):
         for i in range(n - j):
             denom = xs[i] - xs[i + j]
             tab[i] = (0.0 - xs[i + j]) / denom * tab[i] + (xs[i] - 0.0) / denom * tab[i + 1]
-        prev_diag = tab[0] if j < n - 1 else prev_diag
-    limit = tab[0]
-    residual = abs(limit - prev_diag)
-    if with_residual:
-        return limit, residual
-    return limit
+    return tab[0]

@@ -1,9 +1,9 @@
 """Special-function primitives.
 
-Complex log-gamma (Lanczos), the gamma-modulus identities, a Gauss 2F1
-evaluator specialized to the conjugate-parameter/real-argument family used
-by zonal spherical functions, the conical (Mehler) function, and Bessel /
-spherical Bessel functions.
+The gamma-modulus identities, a Gauss 2F1 evaluator specialized to the
+conjugate-parameter/real-argument family used by zonal spherical functions,
+the conical (Mehler) function, and Bessel / spherical Bessel functions.
+Complex log-gamma is scipy.special.loggamma.
 
 The 2F1 evaluator tracks the largest partial sum it encounters and escalates
 through argument transformations when the realized cancellation would spoil
@@ -25,7 +25,6 @@ from .numerics import QuadratureSpec, integrate_split, split_points
 
 __all__ = [
     "HypergeometricParams",
-    "complex_log_gamma",
     "gamma_modulus_sq",
     "gauss_2f1",
     "conical_p0",
@@ -33,58 +32,9 @@ __all__ = [
     "spherical_bessel",
 ]
 
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def _is_nonpositive_integer(z):
     zc = complex(z)
     return abs(zc.imag) < 1e-14 and zc.real <= 0.5 and abs(zc.real - round(zc.real)) < 1e-14
-
-
-def _log_sin_pi(z):
-    """log(sin(pi z)), overflow-safe for large |Im z|."""
-    w = cmath.pi * complex(z)
-    if abs(w.imag) <= 1.0:
-        return cmath.log(cmath.sin(w))
-    if w.imag > 0:
-        # sin w = e^{-iw}(e^{2iw} - 1)/(2i), |e^{2iw}| < 1
-        return -1j * w + cmath.log((cmath.exp(2j * w) - 1.0) / 2j)
-    return 1j * w + cmath.log((1.0 - cmath.exp(-2j * w)) / 2j)
-
-
-def complex_log_gamma(z):
-    """Principal-branch log Gamma via Lanczos (g=7, 9 terms), with
-    reflection for Re z < 1/2. Accurate to about 14 significant digits."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"log Gamma pole at z = {z}")
-    if z.real < 0.5:
-        return math.log(math.pi) - _log_sin_pi(z) - complex_log_gamma(1.0 - z)
-    zz = z - 1.0
-    x = complex(_LANCZOS_C[0])
-    for i in range(1, 9):
-        x += _LANCZOS_C[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(x)
-
-
-def _gamma_recip(z):
-    """1/Gamma(z); exactly 0 at the poles."""
-    if _is_nonpositive_integer(z):
-        return 0.0 + 0.0j
-    return cmath.exp(-complex_log_gamma(z))
 
 
 def _lam_over_sinh(x):
@@ -181,40 +131,50 @@ def _max_terms_for(z):
     return min(2_000_000, int(40.0 / max(1e-7, -math.log(az))) + 1000)
 
 
-def _core_pos(a, b, c, w, want):
-    """2F1 at real w in (0,1). Tries the plain series and the 1-w linear
-    transformation, keeping whichever realizes the smaller cancellation."""
+def _estimate(val, spread):
+    """Realized-cancellation estimate 5e-16 * spread / |val|. A value that is
+    not finite, or exactly 0 (an underflow as often as a root), gets inf, so
+    it is never accepted."""
+    if val == 0.0 or not (cmath.isfinite(val) and math.isfinite(spread)):
+        return math.inf
+    return spread * 5e-16 / abs(val)
+
+
+def _connection(log_num, p, q):
+    """exp(log_num - log Gamma(p) - log Gamma(q)) in one exponential, so no
+    gamma factor can underflow or overflow on its own; exactly 0 at a pole of
+    Gamma(p) or Gamma(q)."""
+    if _is_nonpositive_integer(p) or _is_nonpositive_integer(q):
+        return 0.0
+    return cmath.exp(log_num - scipy.special.loggamma(p) - scipy.special.loggamma(q))
+
+
+def _core_pos(a, b, c, w, one_minus_w, want):
+    """2F1 at real w in (0,1), with one_minus_w = 1 - w passed in so that
+    it keeps its relative accuracy as w -> 1. Tries the plain series and the
+    1-w linear transformation, keeping whichever realizes the smaller
+    cancellation; a failed series keeps its value with an inf estimate."""
     s = c - a - b
-    s_dist = min(abs(s - round(s.real)), abs(s.imag) + abs(s.real - round(s.real)))
     near_int_s = abs(s.imag) < 0.5 and abs(s.real - round(s.real)) < 0.05
     best = None
 
     if w <= 0.7 or near_int_s:
         val, maxpart, ok = _series_2f1(a, b, c, w, _max_terms_for(w))
-        if ok:
-            est = maxpart * 5e-16 / max(abs(val), 1e-300)
-            best = (val, est)
-            if est <= want:
-                return best
+        best = (val, _estimate(val, maxpart) if ok else math.inf)
+        if best[1] <= want:
+            return best
 
     if not near_int_s and w > 0.05:
-        v1, m1, ok1 = _series_2f1(a, b, 1.0 - s, 1.0 - w, _max_terms_for(1.0 - w))
-        v2, m2, ok2 = _series_2f1(c - a, c - b, 1.0 + s, 1.0 - w, _max_terms_for(1.0 - w))
-        if ok1 and ok2:
-            lc = complex_log_gamma(c)
-            p1 = cmath.exp(lc + complex_log_gamma(s)) * _gamma_recip(c - a) * _gamma_recip(c - b)
-            p2 = cmath.exp(lc + complex_log_gamma(-s)) * _gamma_recip(a) * _gamma_recip(b)
-            p2 *= cmath.exp(s * math.log(1.0 - w))
-            val = p1 * v1 + p2 * v2
-            spread = abs(p1) * m1 + abs(p2) * m2
-            est = spread * 5e-16 / max(abs(val), 1e-300)
-            if best is None or est < best[1]:
-                best = (val, est)
-    if best is None:
-        # Last resort: long series regardless of conditioning.
-        val, maxpart, ok = _series_2f1(a, b, c, w, 2_000_000)
-        est = maxpart * 5e-16 / max(abs(val), 1e-300) + (0.0 if ok else 1.0)
-        best = (val, est)
+        n = _max_terms_for(one_minus_w)
+        v1, m1, ok1 = _series_2f1(a, b, 1.0 - s, one_minus_w, n)
+        v2, m2, ok2 = _series_2f1(c - a, c - b, 1.0 + s, one_minus_w, n)
+        lc = scipy.special.loggamma(c)
+        p1 = _connection(lc + scipy.special.loggamma(s), c - a, c - b)
+        p2 = _connection(lc + scipy.special.loggamma(-s) + s * math.log(one_minus_w), a, b)
+        val = p1 * v1 + p2 * v2
+        est = _estimate(val, abs(p1) * m1 + abs(p2) * m2) if ok1 and ok2 else math.inf
+        if best is None or est <= best[1]:
+            best = (val, est)
     return best
 
 
@@ -227,12 +187,13 @@ def _hyp2f1_ex(a, b, c, z, want=1e-12):
     if z == 0.0:
         return 1.0 + 0.0j, 0.0
     if z < 0.0:
-        # Pfaff transformation onto (0, 1); the prefactor is real.
-        w = z / (z - 1.0)
-        val, est = _core_pos(a, c - b, c, w, want)
+        # Pfaff transformation onto (0, 1); the prefactor is real. There
+        # 1 - w = 1/(1 - z), which for z = -sinh^2 chi is sech^2 chi, exact
+        # to rounding where 1 - tanh^2 chi would cancel.
+        val, est = _core_pos(a, c - b, c, z / (z - 1.0), 1.0 / (1.0 - z), want)
         pref = cmath.exp(-a * math.log(1.0 - z))
         return pref * val, est
-    return _core_pos(a, b, c, z, want)
+    return _core_pos(a, b, c, z, 1.0 - z, want)
 
 
 def gauss_2f1(params):
@@ -242,7 +203,7 @@ def gauss_2f1(params):
     the best value found) if 10 significant digits cannot be certified.
     """
     val, est = _hyp2f1_ex(params.p1, params.p2, params.p3, params.argument)
-    if est > 1e-9:
+    if not est <= 1e-9:
         raise ConvergenceError(
             "2F1 evaluation could not certify 10 significant digits",
             value=val, error_estimate=est * abs(val))

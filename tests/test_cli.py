@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 from hyperdirichlet.cli import main, make_test_function, _parse_grid
@@ -104,6 +105,14 @@ class TestGoldenValues:
         assert rc == 0
         D = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
         assert D == pytest.approx(2.518226058924e7, rel=1e-10)
+
+    def test_phi_large_lambda(self, capsys):
+        rc = main(["phi", "--d", "4", "--lambda", "1000", "--chi", "1"])
+        assert rc == 0
+        val = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+        with mp.workdps(40):
+            ref = float(mp.re(mp.hyp2f1(0.75 + 500j, 0.75 - 500j, 2, -mp.sinh(1) ** 2)))
+        assert val == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_converge_d7_bump(self, capsys):
         rc = main(["converge", "--d", "7", "--f", "bump",

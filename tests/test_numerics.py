@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hyperdirichlet.errors import DomainError, QuadratureError
 from hyperdirichlet.numerics import (QuadratureSpec, integrate, integrate_split,
                                      split_points, extrapolate_limit)
-from hyperdirichlet.jets import (derivatives_taylor, jet_variable, jsin, jcos,
-                                 jsinh, jcosh, jexp)
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=2000)
 
@@ -25,16 +23,10 @@ class TestIntegrate:
         res = integrate(lambda x: math.exp(-x * x), -8.0, 8.0, TIGHT)
         assert abs(res.value - math.sqrt(math.pi)) < 1e-12
 
-    def test_semi_infinite_exponential(self):
-        res = integrate(lambda x: math.exp(-x), 0.0, math.inf, TIGHT)
-        assert abs(res.value - 1.0) < 1e-10
-
-    def test_sinc_semi_infinite(self):
-        def f(u):
-            return math.sin(u) / u if u != 0.0 else 1.0
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=4000)
-        res = integrate(f, 0.0, math.inf, spec)
-        assert abs(res.value - 0.5 * math.pi) < 1e-8
+    def test_non_finite_bound_rejected(self):
+        for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+            with pytest.raises(DomainError):
+                integrate(lambda x: math.exp(-abs(x)), lo, hi, TIGHT)
 
     def test_error_estimate_reported(self):
         res = integrate(lambda x: math.cos(x), 0.0, 1.0, TIGHT)
@@ -110,38 +102,6 @@ class TestOscillatory:
         assert res.value == (0.0 + cells[0].value) + cells[1].value + cells[2].value
         assert res.error_estimate == sum(c.error_estimate for c in cells)
         assert res.subdivisions_used == sum(c.subdivisions_used for c in cells)
-
-
-class TestJets:
-    def test_sine_taylor_pattern(self):
-        derivs = derivatives_taylor(lambda t: jsin(t), 0.0, 3)
-        assert derivs == pytest.approx([0.0, 1.0, 0.0, -1.0], abs=1e-15)
-
-    def test_cosh_derivative_cycle(self):
-        x = 0.7
-        derivs = derivatives_taylor(lambda t: jcosh(t), x, 4)
-        expect = [math.cosh(x), math.sinh(x), math.cosh(x), math.sinh(x), math.cosh(x)]
-        assert derivs == pytest.approx(expect, rel=1e-13)
-
-    def test_exp_self_similarity(self):
-        derivs = derivatives_taylor(lambda t: jexp(t), 0.3, 5)
-        assert derivs == pytest.approx([math.exp(0.3)] * 6, rel=1e-13)
-
-    def test_product_rule(self):
-        x = 0.4
-        derivs = derivatives_taylor(lambda t: jsin(t) * jcos(t), x, 1)
-        assert derivs[1] == pytest.approx(math.cos(2.0 * x), rel=1e-13)
-
-    def test_removable_singularity_quotient(self):
-        # sin(5 t) / (pi t) at t = 0 has value 5/pi
-        derivs = derivatives_taylor(lambda t: jsin(5.0 * t) / (math.pi * t), 0.0, 0)
-        assert derivs[0] == pytest.approx(5.0 / math.pi, rel=1e-14)
-
-    def test_hyperbolic_quotient(self):
-        x = 1.2
-        derivs = derivatives_taylor(lambda t: jsinh(t) / jcosh(t), x, 1)
-        assert derivs[0] == pytest.approx(math.tanh(x), rel=1e-13)
-        assert derivs[1] == pytest.approx(1.0 / math.cosh(x) ** 2, rel=1e-12)
 
 
 class TestExtrapolation:
