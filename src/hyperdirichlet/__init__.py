@@ -19,9 +19,11 @@ from .errors import (
 from .numerics import (
     QuadratureSpec,
     IntegralResult,
+    pointwise,
     integrate,
     split_points,
     integrate_split,
+    integrate_cells,
     extrapolate_limit,
 )
 from .specfun import (

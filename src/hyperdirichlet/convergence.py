@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, JetDepthError
-from .numerics import extrapolate_limit
+from .numerics import extrapolate_limit, pointwise
 from .kernel import shannon_delta, _delta1
 from .transform import (DecayEnvelope, _band_sum, _chi_oscillatory, _mf_profile,
                         partial_sum)
@@ -203,15 +203,18 @@ def example_d5_boundary_audit(f, params, M):
     delta_prime_jump = -(2.0 / 3.0) * sum(dM1(b) * df0 * sh2(b) for b, df0, _ in jumps)
     jump_deriv = (2.0 / 3.0) * sum(dM(b) * df1 * sh2(b) for b, _, df1 in jumps)
 
+    profile = pointwise(f.profile)
     interior_total = 0.0
     for lo, hi in f.pieces():
         def g(x, lo=lo, hi=hi):
-            fv = f.profile(x)
-            f1 = d1(x, lo, hi)
-            f2 = d2(x, lo, hi)
-            second = f2 * sh2(x) + 2.0 * f1 * s2x(x) + 2.0 * fv * c2x(x)
-            first = f1 * s2x(x) + 2.0 * fv * c2x(x)
-            return ((2.0 / 3.0) * second + (1.0 / 3.0) * first) * dM(x)
+            fv = profile(x)
+            f1 = pointwise(lambda t: d1(t, lo, hi))(x)
+            f2 = pointwise(lambda t: d2(t, lo, hi))(x)
+            s2 = pointwise(s2x)(x)
+            c2 = pointwise(c2x)(x)
+            second = f2 * pointwise(sh2)(x) + 2.0 * f1 * s2 + 2.0 * fv * c2
+            first = f1 * s2 + 2.0 * fv * c2
+            return ((2.0 / 3.0) * second + (1.0 / 3.0) * first) * shannon_delta(M, x)
         interior_total += _chi_oscillatory(g, M, lo, hi, abs_tol=1e-10, rel_tol=1e-10)
 
     return BoundaryAudit(endpoint, delta_jump, delta_prime_jump, jump_deriv,

@@ -6,12 +6,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
+from itertools import repeat
+
+import numpy as np
 
 from .errors import DomainError, JetDepthError
-from .numerics import QuadratureSpec, integrate_split, split_points
+from .numerics import QuadratureSpec, integrate_split, pointwise, split_points
 from .cfunction import plancherel_density, poly_coefficients
-from .spherical import SpectralParams, phi, phi_derivative
+from .spherical import (_HYPERBOLIC_MAX, SpectralParams, _phi_array, _sinh_cosh, _unscale,
+                        phi_derivative)
 from .specfun import conical_p0
 
 __all__ = [
@@ -41,8 +45,8 @@ class KernelParams:
 
 
 def _split_band(f, M, chi):
-    """Integrate f over lambda in [0, M], cut at the pi/chi spacing of the
-    cos(lambda chi) oscillation."""
+    """Integrate the vectorized f over lambda in [0, M], cut at the pi/chi
+    spacing of the cos(lambda chi) oscillation."""
     cuts = split_points(0.0, M, math.pi / chi) if chi > 0 else [0.0, M]
     spec = QuadratureSpec(abs_tol=1e-9 / (len(cuts) - 1), rel_tol=1e-11,
                           max_subdivisions=600)
@@ -56,78 +60,123 @@ def dirichlet_quadrature(kp, chi):
     if chi == 0.0:
         raise DomainError("dirichlet_quadrature requires chi > 0 (see dirichlet_origin_odd)")
     pa = kp.spectral
+    density = pointwise(lambda lam: plancherel_density(pa, lam))
 
     def f(lam):
-        return phi(pa, lam, chi) * plancherel_density(pa, lam)
+        return _phi_array(pa, lam, chi) * density(lam)
 
     return _split_band(f, kp.M, chi)
 
 
+def _float_or_array(fn):
+    """Let fn, written for a 1-d ndarray as its last argument, take a float
+    there as well and return a float for it."""
+    @wraps(fn)
+    def wrapper(*args):
+        if np.ndim(args[-1]) == 0:
+            return float(fn(*args[:-1], np.array([float(args[-1])]))[0])
+        return fn(*args)
+    return wrapper
+
+
+def _power(x, n):
+    """x ** n elementwise with the C library's pow, as the scalar code takes
+    it; numpy's power does not always match its last bit."""
+    return np.fromiter(map(pow, x.tolist(), repeat(n)), float, x.size)
+
+
+@_float_or_array
 def shannon_delta(M, chi):
     """Shannon's delta kernel sin(M chi)/(pi chi), with the removable
     singularity filled by series."""
     u = M * chi
-    if abs(u) < 0.5:
+    out = np.empty_like(u)
+    near = np.abs(u) < 0.5
+    if near.any():
         # sin(u)/u = sum (-1)^k u^{2k} / (2k+1)!
+        un = u[near]
         s = 0.0
         t = 1.0
         for k in range(9):
             if k > 0:
-                t *= -u * u / ((2 * k) * (2 * k + 1))
+                t *= -un * un / ((2 * k) * (2 * k + 1))
             s += t
-        return M * s / math.pi
-    return math.sin(u) / (math.pi * chi)
+        out[near] = M * s / math.pi
+    far = ~near
+    out[far] = np.sin(u[far]) / (math.pi * chi[far])
+    return out
 
 
+@_float_or_array
 def _delta1(M, chi):
     """First derivative of shannon_delta in chi."""
     u = M * chi
-    if abs(u) < 0.5:
+    out = np.empty_like(u)
+    near = np.abs(u) < 0.5
+    if near.any():
         # sum (-1)^k (2k) u^{2k-1} / (2k+1)!
+        un = u[near]
         s = 0.0
-        term = -u / 3.0
+        term = -un / 3.0
         k = 1
         while k < 9:
             s += term
             k += 1
-            term *= -u * u * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
-        return M * M * s / math.pi
-    return (u * math.cos(u) - math.sin(u)) / (math.pi * chi * chi)
+            term *= -un * un * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
+        out[near] = M * M * s / math.pi
+    far = ~near
+    uf = u[far]
+    cf = chi[far]
+    out[far] = (uf * np.cos(uf) - np.sin(uf)) / (math.pi * cf * cf)
+    return out
 
 
+@_float_or_array
 def _delta2(M, chi):
     """Second derivative of shannon_delta in chi."""
     u = M * chi
-    if abs(u) < 0.5:
+    out = np.empty_like(u)
+    near = np.abs(u) < 0.5
+    if near.any():
         # sum (-1)^k (2k)(2k-1) u^{2k-2} / (2k+1)!
+        un = u[near]
         s = 0.0
         term = -1.0 / 3.0
         k = 1
         while k < 9:
             s += term
             k += 1
-            term *= (-u * u * (2 * k) * (2 * k - 1)
+            term *= (-un * un * (2 * k) * (2 * k - 1)
                      / ((2 * k - 2) * (2 * k - 3) * (2 * k) * (2 * k + 1)))
-        return M ** 3 * s / math.pi
-    return (-u * u * math.sin(u) - 2.0 * (u * math.cos(u) - math.sin(u))) / (math.pi * chi ** 3)
+        out[near] = M ** 3 * s / math.pi
+    far = ~near
+    uf = u[far]
+    out[far] = ((-uf * uf * np.sin(uf) - 2.0 * (uf * np.cos(uf) - np.sin(uf)))
+                / (math.pi * _power(chi[far], 3)))
+    return out
 
 
+@_float_or_array
 def dirichlet_closed(kp, chi):
-    """Closed forms in d = 1, 3, 5."""
-    chi = abs(chi)
+    """Closed forms in d = 1, 3, 5, at a float chi or on an ndarray of them.
+    Where sinh chi (d = 3) or sinh^3 chi (d = 5) would overflow, they are
+    formed e^-chi-scaled and the scale is put back at the end."""
+    chi = np.abs(chi)
     d = kp.spectral.d
     R = kp.spectral.R
     M = kp.M
-    if chi == 0.0:
+    if not chi.all():
         raise DomainError("closed forms are stated for chi > 0")
     if d == 1:
         return 2.0 * shannon_delta(M, chi) / R
     if d == 3:
-        return -2.0 * _delta1(M, chi) / (R ** 3 * math.sinh(chi))
+        s, _, big = _sinh_cosh(chi, _HYPERBOLIC_MAX)
+        return _unscale(-2.0 * _delta1(M, chi) / (R ** 3 * s), chi, big, 1)
     if d == 5:
-        s = math.sinh(chi)
-        c = math.cosh(chi)
-        return (2.0 / (3.0 * R ** 5)) * (_delta2(M, chi) / (s * s) - c * _delta1(M, chi) / s ** 3)
+        s, c, big = _sinh_cosh(chi, _HYPERBOLIC_MAX / 3.0)
+        value = (2.0 / (3.0 * R ** 5)) * (_delta2(M, chi) / (s * s)
+                                          - c * _delta1(M, chi) / _power(s, 3))
+        return _unscale(value, chi, big, 2)
     raise DomainError(
         "closed form available for d in {1,3,5}; use dirichlet_quadrature or dirichlet_recursion")
 
@@ -143,7 +192,7 @@ def dirichlet_d2(kp, y):
     def f(lam):
         return conical_p0(lam, y) * lam * math.tanh(math.pi * lam)
 
-    return _split_band(f, kp.M, chi) / (R * R)
+    return _split_band(pointwise(f), kp.M, chi) / (R * R)
 
 
 def _derive_divide(g, s):
@@ -184,49 +233,68 @@ def _origin_series(M, k):
 
 
 def _point_series(M, chi, k):
-    """(hat A)^k [sin(M t)/(pi t)] at t = chi from Taylor coefficients in h
-    about chi. For M chi < 6 those of sin(M t)/(pi t) come from 30 terms of
-    its even series (the last below 1e-36), since dividing by pi (chi + h)
-    would cancel; otherwise from those of sin(M (chi + h)) divided by
-    pi (chi + h)."""
-    sh = math.sinh(chi)
-    ch = math.cosh(chi)
+    """(hat A)^k [sin(M t)/(pi t)] at t = chi, on a 1-d ndarray of chi, from
+    Taylor coefficients in h about chi. For M chi < 6 those of
+    sin(M t)/(pi t) come from 30 terms of its even series (the last below
+    1e-36), since dividing by pi (chi + h) would cancel; otherwise from those
+    of sin(M (chi + h)) divided by pi (chi + h). Past _HYPERBOLIC_MAX the
+    sinh and cosh coefficients are e^-chi-scaled, which scales the result by
+    e^{k chi}; that is taken out at the end."""
+    sh, ch, big = _sinh_cosh(chi, _HYPERBOLIC_MAX)
     s = [sh]
     for n in range(1, k + 1):
-        s.append((ch if n % 2 else sh) / math.factorial(n))
-    if M * chi < 6.0:
+        s.append((ch if n % 2 else sh) / float(math.factorial(n)))
+    g = [np.empty_like(chi) for _ in range(k + 1)]
+    near = M * chi < 6.0
+    if near.any():
+        x = chi[near]
         c = _shannon_series(M, 30)
-        g = [sum(c[j] * math.comb(2 * j, n) * chi ** (2 * j - n)
-                 for j in range((n + 1) // 2, 30)) for n in range(k + 1)]
-    else:
-        sm = math.sin(M * chi)
-        cm = math.cos(M * chi)
-        g = [sm / (math.pi * chi)]
+        for n in range(k + 1):
+            g[n][near] = sum(c[j] * math.comb(2 * j, n) * _power(x, 2 * j - n)
+                             for j in range((n + 1) // 2, 30))
+    far = ~near
+    if far.any():
+        x = chi[far]
+        sm = np.sin(M * x)
+        cm = np.cos(M * x)
+        gf = [sm / (math.pi * x)]
         mpow = 1.0
         for n in range(1, k + 1):
             mpow *= M / n
             a = mpow * (sm, cm, -sm, -cm)[n % 4]
-            g.append((a - math.pi * g[-1]) / (math.pi * chi))
+            gf.append((a - math.pi * gf[-1]) / (math.pi * x))
+        for n in range(k + 1):
+            g[n][far] = gf[n]
     for _ in range(k):
         g = _derive_divide(g, s)
-    return g[0]
+    return _unscale(g[0], chi, big, k)
 
 
-def _odd_recursion(kp, chi, k):
-    """(hat A)^k applied to shannon_delta, hat A = (1/sinh chi) d/dchi, on
-    plain Taylor coefficients: summed from the even series about the origin
-    when chi < 1.2 and M chi < 6, where dividing by sinh chi at the point
-    would cancel, and expanded about chi elsewhere."""
+@_float_or_array
+def _odd_recursion(kp, chi):
+    """(hat A)^k applied to shannon_delta, hat A = (1/sinh chi) d/dchi and
+    k = (d-1)/2, on plain Taylor coefficients over a 1-d ndarray of chi:
+    summed from the even series about the origin when chi < 1.2 and
+    M chi < 6, where dividing by sinh chi at the point would cancel, and
+    expanded about chi elsewhere."""
+    k = (kp.spectral.d - 1) // 2
     if k + 2 > 24:
         raise JetDepthError("recursion depth exceeds supported jet order")
+    chi = np.abs(chi)
+    if not chi.all():
+        raise DomainError("dirichlet_recursion requires chi > 0")
     M = kp.M
-    if chi < 1.2 and M * chi < 6.0:
-        w = chi * chi
-        value = 0.0
+    value = np.empty_like(chi)
+    origin = (chi < 1.2) & (M * chi < 6.0)
+    if origin.any():
+        w = chi[origin] * chi[origin]
+        v = 0.0
         for c in reversed(_origin_series(M, k)):
-            value = value * w + c
-    else:
-        value = _point_series(M, chi, k)
+            v = v * w + c
+        value[origin] = v
+    rest = ~origin
+    if rest.any():
+        value[rest] = _point_series(M, chi[rest], k)
     dfact = 1.0
     for j in range(1, k + 1):
         dfact *= 2 * j - 1
@@ -236,20 +304,22 @@ def _odd_recursion(kp, chi, k):
 
 def dirichlet_recursion(kp, chi):
     """Dimension recursion: odd d chains (hat A)^k delta_M on Taylor
-    coefficients; even d applies one step of the d -> d-2 relation,
-    differentiating under the spectral integral with the closed derivative
-    of the spherical function."""
+    coefficients, at a float chi or on an ndarray of them; even d applies one
+    step of the d -> d-2 relation, differentiating under the spectral
+    integral with the closed derivative of the spherical function."""
+    d = kp.spectral.d
+    if d % 2 == 1 and d > 1:
+        return _odd_recursion(kp, chi)
     chi = abs(chi)
     if chi == 0.0:
         raise DomainError("dirichlet_recursion requires chi > 0")
-    d = kp.spectral.d
     R = kp.spectral.R
     if d < 2:
         raise DomainError("recursion applies for d >= 2")
+    if chi > _HYPERBOLIC_MAX:
+        raise DomainError(f"dirichlet_recursion: cosh chi overflows at chi = {chi}")
     if d == 2:
         return dirichlet_d2(kp, math.cosh(chi))
-    if d % 2 == 1:
-        return _odd_recursion(kp, chi, (d - 1) // 2)
     # Even d >= 4: D^{(d)} = -(1/(2 a_d R^2 sinh chi)) d/dchi D^{(d-2)} with
     # d/dchi moved inside the lambda-integral; dz/dchi = -sinh(2 chi).
     pa = kp.spectral
@@ -259,7 +329,7 @@ def dirichlet_recursion(kp, chi):
     def f(lam):
         return phi_derivative(pa, lam, chi) * plancherel_density(lower, lam)
 
-    integral = _split_band(f, kp.M, chi)
+    integral = _split_band(pointwise(f), kp.M, chi)
     return math.cosh(chi) / (a_d * R * R) * integral
 
 
@@ -276,9 +346,17 @@ def dirichlet_asymptotic(kp, chi):
         warnings.warn("dirichlet_asymptotic called with M*chi < 10; leading order unreliable",
                       stacklevel=2)
     rho = pa.rho
-    amp = (2.0 ** (1.0 - rho) * M ** rho
-           / (math.sqrt(math.pi) * math.gamma(rho + 0.5) * pa.R ** pa.d
-              * chi * math.sinh(chi) ** rho))
+    if chi > _HYPERBOLIC_MAX / max(rho, 1.0):
+        # sinh^rho chi would overflow; sinh chi = e^chi / 2 to double
+        # precision here, so the amplitude is formed in log space.
+        amp = math.exp((1.0 - rho) * math.log(2.0) + rho * math.log(M)
+                       - math.log(math.sqrt(math.pi) * math.gamma(rho + 0.5)
+                                  * pa.R ** pa.d * chi)
+                       - rho * (chi - math.log(2.0)))
+    else:
+        amp = (2.0 ** (1.0 - rho) * M ** rho
+               / (math.sqrt(math.pi) * math.gamma(rho + 0.5) * pa.R ** pa.d
+                  * chi * math.sinh(chi) ** rho))
     return amp * math.sin(M * chi - 0.5 * math.pi * rho)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import scipy.special
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .numerics import QuadratureSpec, integrate_split, split_points
+from .numerics import QuadratureSpec, integrate_split, pointwise, split_points
 
 __all__ = [
     "HypergeometricParams",
@@ -35,6 +35,17 @@ __all__ = [
 def _is_nonpositive_integer(z):
     zc = complex(z)
     return abs(zc.imag) < 1e-14 and zc.real <= 0.5 and abs(zc.real - round(zc.real)) < 1e-14
+
+
+def _minus_sinh_sq(chi):
+    """-sinh^2(chi), the argument of the spherical functions' 2F1; raises
+    DomainError where it overflows (chi > 354.9)."""
+    try:
+        return -math.sinh(chi) ** 2
+    except OverflowError:
+        raise DomainError(
+            f"-sinh^2(chi) overflows at chi = {chi}; the spherical function is "
+            "evaluated for chi <= 354") from None
 
 
 def _lam_over_sinh(x):
@@ -241,10 +252,15 @@ def _mehler_dirichlet(rho, lam, chi):
     # Split at the stationary-phase zeros of cos(lam (chi - u^2)).
     ts = split_points(0.0, chi, math.pi / lam) if lam > 0 else [0.0, chi]
     cuts = [math.sqrt(t) for t in ts]
-    scale = math.sinh(chi) ** two_rho_m1 / C
+    try:
+        scale = math.sinh(chi) ** two_rho_m1 / C
+    except OverflowError:
+        raise DomainError(
+            f"Mehler-Dirichlet integral: sinh(chi)^{two_rho_m1:g} overflows at "
+            f"chi = {chi}") from None
     spec = QuadratureSpec(abs_tol=max(1e-15, 1e-13 * scale) / (len(cuts) - 1),
                           rel_tol=1e-13, max_subdivisions=400)
-    total = integrate_split(integrand, cuts, spec).value
+    total = integrate_split(pointwise(integrand), cuts, spec).value
     return C * math.sinh(chi) ** (1.0 - two_rho_m1 - 1.0) * total
 
 
@@ -252,7 +268,7 @@ def _phi_core(rho, lam, chi, want=1e-11):
     """Zonal spherical function Phi_lam^{(rho-1/2,-1/2)}(chi) for rho >= 1/2."""
     if chi == 0.0:
         return 1.0
-    z = -math.sinh(chi) ** 2
+    z = _minus_sinh_sq(chi)
     a = 0.5 * (rho + 1j * lam)
     b = 0.5 * (rho - 1j * lam)
     c = rho + 0.5

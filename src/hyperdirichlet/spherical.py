@@ -6,9 +6,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
-from .numerics import QuadratureSpec, integrate
-from .specfun import _hyp2f1_ex, _phi_core, spherical_bessel
+from .numerics import QuadratureSpec, integrate, pointwise
+from .specfun import _hyp2f1_ex, _minus_sinh_sq, _phi_core, spherical_bessel
 
 __all__ = [
     "SpectralParams",
@@ -45,27 +47,79 @@ class SpectralParams:
         object.__setattr__(self, "b", -0.5)
 
 
+# math.sinh and math.cosh overflow just past chi = 710.47. Past a limit at
+# or below _HYPERBOLIC_MAX the array kernels take them e^-chi-scaled, which
+# there is 1/2 to double precision, and put the e^-chi factors back at the end.
+_HYPERBOLIC_MAX = 700.0
+
+
+def _sinh_cosh(chi, limit):
+    """(sinh, cosh, big) on a 1-d ndarray of chi, both e^-chi-scaled where
+    big = chi > limit (limit >= 20)."""
+    big = chi > limit
+    if big.any():
+        chi = np.where(big, 0.0, chi)
+    sh = pointwise(math.sinh)(chi)
+    ch = pointwise(math.cosh)(chi)
+    sh[big] = 0.5
+    ch[big] = 0.5
+    return sh, ch, big
+
+
+def _unscale(value, chi, big, k):
+    """value times e^{-k chi} where big: the scale of a result formed from
+    k factors of e^-chi-scaled sinh or cosh. Two half steps keep the product
+    from rounding twice in the subnormal range."""
+    if big.any():
+        half = np.exp(-0.5 * k * chi[big])
+        value[big] = value[big] * half * half
+    return value
+
+
+def _phi_array(params, lam, chi):
+    """phi on ndarrays of lam >= 0 and chi >= 0 broadcast against each other
+    (either may be a float). d = 1 and d = 3 are array closed forms; other
+    dimensions map the scalar core over the points."""
+    lam, chi = np.broadcast_arrays(np.atleast_1d(np.asarray(lam, float)),
+                                   np.atleast_1d(np.asarray(chi, float)))
+    if (lam < 0).any() or (chi < 0).any():
+        raise DomainError("phi requires lam >= 0 and chi >= 0")
+    if params.d == 1:
+        return np.cos(lam * chi)
+    out = np.ones(lam.shape)
+    pos = chi > 0.0
+    lam = lam[pos]
+    chi = chi[pos]
+    if params.d != 3:
+        out[pos] = [_phi_core(params.rho, l, c) for l, c in zip(lam.tolist(), chi.tolist())]
+        return out
+    u = lam * chi
+    s_over_lam = np.empty_like(u)
+    near = np.abs(u) < 1e-6
+    un = u[near]
+    s_over_lam[near] = chi[near] * (1.0 - un * un / 6.0 * (1.0 - un * un / 20.0))
+    far = ~near
+    s_over_lam[far] = np.sin(u[far]) / lam[far]
+    sh, _, big = _sinh_cosh(chi, _HYPERBOLIC_MAX)
+    out[pos] = _unscale(s_over_lam / sh, chi, big, 1)
+    return out
+
+
 def phi(params, lam, chi):
     """Zonal spherical function Phi_lam(chi), normalized to Phi_lam(0) = 1.
 
     d = 1 reduces to cos(lam chi) and d = 3 to sin(lam chi)/(lam sinh chi);
     other dimensions evaluate the hypergeometric representation at
     -sinh^2(chi), escalating through argument transformations (and, for
-    extreme lambda*chi, an integral representation) as cancellation demands.
+    extreme lambda*chi, an integral representation) as cancellation demands;
+    they raise DomainError where -sinh^2(chi) overflows (chi > 354.9).
     """
     if lam < 0 or chi < 0:
         raise DomainError("phi requires lam >= 0 and chi >= 0")
     if chi == 0.0:
         return 1.0
-    if params.d == 1:
-        return math.cos(lam * chi)
-    if params.d == 3:
-        u = lam * chi
-        if abs(u) < 1e-6:
-            s_over_lam = chi * (1.0 - u * u / 6.0 * (1.0 - u * u / 20.0))
-        else:
-            s_over_lam = math.sin(u) / lam
-        return s_over_lam / math.sinh(chi)
+    if params.d in (1, 3):
+        return float(_phi_array(params, lam, chi)[0])
     return _phi_core(params.rho, lam, chi)
 
 
@@ -106,8 +160,8 @@ def phi_angular_oracle(params, lam, chi):
             return base ** (-rho) * trig(lam * math.log(base)) * math.sin(theta) ** (2.0 * rho - 1.0)
         return f
 
-    re = integrate(make(math.cos), 0.0, math.pi, spec).value
-    im = integrate(make(math.sin), 0.0, math.pi, spec).value
+    re = integrate(pointwise(make(math.cos)), 0.0, math.pi, spec).value
+    im = integrate(pointwise(make(math.sin)), 0.0, math.pi, spec).value
     if abs(norm * im) >= 1e-10:
         raise DomainError("angular oracle produced a non-real value")
     return norm * re
@@ -124,7 +178,7 @@ def phi_derivative(params, lam, chi):
         raise DomainError("phi_derivative needs a > 0 (d >= 2 for the shifted pair)")
     if a < 0.5:
         raise DomainError("the shifted pair requires a >= 1/2 (d >= 3)")
-    z = -math.sinh(chi) ** 2
+    z = _minus_sinh_sq(chi)
     bracket = ((a + b) ** 2 + lam * lam) / (4.0 * a)
     p = 0.5 * (a - b)
     val, _est = _hyp2f1_ex(p + 0.5j * lam, p - 0.5j * lam, a + 1.0, z)

@@ -18,12 +18,12 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, EnvelopeError, GridError
-from .numerics import QuadratureSpec, integrate, integrate_split, split_points
-from .numerics import _gk15
-from .spherical import SpectralParams, phi
+from .numerics import (QuadratureSpec, integrate, integrate_cells, integrate_split, pointwise,
+                       split_points)
+from .spherical import SpectralParams, _phi_array
 from .specfun import conical_p0
 from .cfunction import plancherel_density
-from .kernel import KernelParams, dirichlet_closed, dirichlet_recursion
+from .kernel import KernelParams, _power, dirichlet_closed, dirichlet_recursion
 
 __all__ = [
     "RadialFunction",
@@ -155,7 +155,8 @@ class DecayEnvelope:
 
 
 def _chi_oscillatory(f, lam, lo, hi, abs_tol=1e-11, rel_tol=1e-11):
-    """Integrate f(chi) * (cos lam chi carried inside f) by zero pre-splitting."""
+    """Integrate the vectorized f(chi) * (cos lam chi carried inside f) by
+    zero pre-splitting."""
     cuts = split_points(lo, hi, math.pi / lam) if lam > 0 else [lo, hi]
     nseg = len(cuts) - 1
     spec = QuadratureSpec(abs_tol=abs_tol / nseg, rel_tol=rel_tol,
@@ -163,19 +164,13 @@ def _chi_oscillatory(f, lam, lo, hi, abs_tol=1e-11, rel_tol=1e-11):
     return integrate_split(f, cuts, spec).value
 
 
-def _integrate_cells(g, cuts):
-    """Sum Gauss-Kronrod panels over consecutive cells, bisecting once more
-    wherever the embedded error estimate is not already negligible."""
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        v, e, _ = _gk15(g, a, b)
-        if e > 1e-13 * (1.0 + abs(v)):
-            m = 0.5 * (a + b)
-            v = _gk15(g, a, m)[0] + _gk15(g, m, b)[0]
-        total += v
-    return total
+# Tolerance and budget of each cell of a spectral sampling grid.
+_GRID_CELL_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=50)
+
+
+def _sinh_power(chi, n):
+    """sinh(chi) ** n on an ndarray, rounded as the scalar functions round."""
+    return _power(pointwise(math.sinh)(chi), n)
 
 
 def fh_forward(f, params, lam):
@@ -183,11 +178,13 @@ def fh_forward(f, params, lam):
     profile: R^d int_0^a f(chi) Phi_lam(chi) sinh^{d-1}(chi) dchi."""
     d = params.d
     Rd = params.R ** d
+    profile = pointwise(f.profile)
+
+    def g(chi):
+        return profile(chi) * _phi_array(params, lam, chi) * _sinh_power(chi, d - 1)
 
     total = 0.0
     for lo, hi in f.pieces():
-        def g(chi):
-            return f.profile(chi) * phi(params, lam, chi) * math.sinh(chi) ** (d - 1)
         total += _chi_oscillatory(g, lam, lo, hi)
     return Rd * total
 
@@ -208,20 +205,6 @@ class _AbelCosineProfile:
         self.T = math.acosh(self.y_max)
         breaks = sorted(b for b in chi_breaks if 0.0 < b < self.T)
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
-
-        def F_of(t):
-            ct = math.cosh(t)
-            smax_sq = self.y_max - ct
-            if smax_sq <= 0:
-                return 0.0
-            cuts = [0.0]
-            for b in breaks:
-                if b > t:
-                    cuts.append(math.sqrt(math.cosh(b) - ct))
-            cuts.append(math.sqrt(smax_sq))
-            return integrate_split(lambda s: 2.0 * f_of_y(ct + s * s),
-                                   sorted(set(cuts)), spec).value
-
         us = np.linspace(0.0, 1.0, n_grid)
         # Graded nodes resolve the square-root vanishing at t = T; the uniform
         # layer keeps the interpolation error small near t = 0 as well, where
@@ -231,7 +214,30 @@ class _AbelCosineProfile:
             + [float(t) for t in np.linspace(0.0, self.T, n_grid)[1:-1]]
             + [0.0, self.T] + breaks))
         self._ts = np.array(ts)
-        self._Fs = np.array([F_of(t) for t in ts])
+        # F(t) = int_0^smax 2 f(cosh t + s^2) ds with s^2 = y - cosh t, cut at
+        # the breakpoints past t: one row of cuts per t, a breakpoint at or
+        # before t cutting at 0, and empty cells dropped. Every cell of every
+        # t is resolved in one engine call.
+        ct = pointwise(math.cosh)(self._ts)
+        smax_sq = self.y_max - ct
+        cuts = [np.zeros_like(ct)]
+        for b in breaks:
+            cuts.append(np.where(b > self._ts, np.sqrt(np.abs(math.cosh(b) - ct)), 0.0))
+        cuts.append(np.sqrt(np.abs(smax_sq)))
+        cuts = np.column_stack(cuts)
+        if (cuts[:, 1:] < cuts[:, :-1]).any():
+            cuts = np.sort(cuts, axis=1)
+        lo = cuts[:, :-1]
+        hi = cuts[:, 1:]
+        keep = (smax_sq > 0)[:, None] & (hi != lo)
+        owner = np.nonzero(keep)[0]
+        shift = ct[owner]
+        weight = pointwise(f_of_y)
+        values = integrate_cells(lambda s, cell: 2.0 * weight(shift[cell] + s * s),
+                                 lo[keep], hi[keep], spec)[0]
+        # Each F(t) adds its cells left to right, from 0.
+        self._Fs = np.zeros_like(ct)
+        np.add.at(self._Fs, owner, values)
         # F can decay super-exponentially toward t = T and leave subnormal
         # samples; PCHIP's harmonic mean of their secant slopes overflows, so
         # they are flushed to the exact zeros it handles.
@@ -318,14 +324,15 @@ def fh_inverse(table, chi, lambda_max):
             f"exceeds 1e-3 * max|fhat|")
     lam_hi = min(lambda_max, float(grid[-1]))
     pa = table.params
+    density = pointwise(lambda lam: plancherel_density(pa, lam))
 
     def g(lam):
-        return float(interp(lam)) * phi(pa, lam, chi) * plancherel_density(pa, lam)
+        return interp(lam) * _phi_array(pa, lam, chi) * density(lam)
 
     # Integrate cell by cell along the sampling grid: the interpolant is only
     # C^1 across nodes, so panels must not straddle them.
     cells = [x for x in grid if x < lam_hi] + [lam_hi]
-    return _integrate_cells(g, cells)
+    return integrate_split(g, cells, _GRID_CELL_SPEC).value
 
 
 def _band_sum(prof, M, abs_tol):
@@ -336,7 +343,7 @@ def _band_sum(prof, M, abs_tol):
         return lam * math.tanh(math.pi * lam) * prof.cosine_moment(lam)
 
     spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=1e-9, max_subdivisions=3000)
-    return integrate_split(g, split_points(0.0, M, 8.0), spec).value
+    return integrate_split(pointwise(g), split_points(0.0, M, 8.0), spec).value
 
 
 def partial_sum(f, params, M, chi=0.0):
@@ -350,13 +357,18 @@ def partial_sum(f, params, M, chi=0.0):
     kp = KernelParams(params, M)
     if d in (1, 3, 5):
         kernel_at = lambda x: dirichlet_closed(kp, x)
-    else:
+    elif d % 2:
         kernel_at = lambda x: dirichlet_recursion(kp, x)
+    else:
+        kernel_at = pointwise(lambda x: dirichlet_recursion(kp, x))
     Rd = params.R ** d
+    profile = pointwise(f.profile)
+
+    def g(x):
+        return profile(x) * kernel_at(x) * _sinh_power(x, d - 1)
+
     total = 0.0
     for lo, hi in f.pieces():
-        def g(x):
-            return f.profile(x) * kernel_at(x) * math.sinh(x) ** (d - 1)
         total += _chi_oscillatory(g, M, lo, hi, abs_tol=1e-10, rel_tol=1e-10)
     return Rd * total
 
@@ -368,7 +380,8 @@ def parseval_check(f, params, lambda_max, grid_step=0.25):
     Rd = params.R ** d
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=2000)
     norm_f = Rd * integrate_split(
-        lambda x: f.profile(x) ** 2 * math.sinh(x) ** (d - 1), f.breakpoints, spec).value
+        pointwise(lambda x: f.profile(x) ** 2 * math.sinh(x) ** (d - 1)),
+        f.breakpoints, spec).value
 
     n = int(lambda_max / grid_step) + 1
     grid = [j * grid_step for j in range(n + 1)]
@@ -378,8 +391,9 @@ def parseval_check(f, params, lambda_max, grid_step=0.25):
     def g(lam):
         return float(interp(lam)) ** 2 * plancherel_density(params, lam)
 
+    # Cell by cell along the sampling grid, as in fh_inverse.
     cells = [x for x in table.lambda_grid if x < lambda_max] + [float(lambda_max)]
-    norm_spec = _integrate_cells(g, cells)
+    norm_spec = integrate_split(pointwise(g), cells, _GRID_CELL_SPEC).value
     return norm_f, norm_spec
 
 
@@ -419,8 +433,7 @@ def mehler_fock_inverse(g, y, mu_max):
         raise DomainError("mehler_fock_inverse requires y >= 1")
     chi = math.acosh(y) if y > 1.0 else 0.0
 
-    def h(mu):
-        return conical_p0(mu, y) * g(mu)
+    h = pointwise(lambda mu: conical_p0(mu, y) * g(mu))
 
     if chi == 0.0:
         spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=3000)
@@ -431,16 +444,18 @@ def mehler_fock_inverse(g, y, mu_max):
     return integrate_split(h, cuts, spec).value
 
 
-def translate(g, x, y):
+def translate(g, x, y, abs_tol=1e-11):
     """Generalized hyperbolic translation
-    (T_x g)(y) = (1/pi) int_0^pi g(xy + sqrt((x^2-1)(y^2-1)) cos(theta)) dtheta."""
+    (T_x g)(y) = (1/pi) int_0^pi g(xy + sqrt((x^2-1)(y^2-1)) cos(theta)) dtheta,
+    integrated to abs_tol (relative 1e-10)."""
     if x < 1.0 or y < 1.0:
         raise DomainError("translate requires x, y >= 1")
     w = math.sqrt((x * x - 1.0) * (y * y - 1.0))
     if w == 0.0:
         return g(x * y)
-    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=2000)
-    res = integrate(lambda th: g(x * y + w * math.cos(th)), 0.0, math.pi, spec)
+    spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=1e-10, max_subdivisions=2000)
+    gv = pointwise(g)
+    res = integrate(lambda th: gv(x * y + w * np.cos(th)), 0.0, math.pi, spec)
     return res.value / math.pi
 
 
@@ -457,12 +472,13 @@ def translate_kernel(x, y, z):
 
 def convolve(f, g, x, envelope=DecayEnvelope(), tol=1e-9):
     """Hyperbolic convolution (f * g)(x) = int_1^inf f(y) (T_x g)(y) dy by
-    nested quadrature, the outer tail truncated by the envelope on f."""
+    nested quadrature, the outer tail truncated by the envelope on f; the
+    inner translates are integrated to the same tolerance."""
     if x < 1.0:
         raise DomainError("convolve requires x >= 1")
     Y = envelope.truncation_point(tol / 10.0)
     spec = QuadratureSpec(abs_tol=tol, rel_tol=1e-8, max_subdivisions=600)
-    return integrate(lambda y: f(y) * translate(g, x, y), 1.0, Y, spec).value
+    return integrate(pointwise(lambda y: f(y) * translate(g, x, y, tol)), 1.0, Y, spec).value
 
 
 def convolve_band_kernel(f, kp, x, envelope=DecayEnvelope()):
@@ -480,7 +496,8 @@ def convolve_band_kernel(f, kp, x, envelope=DecayEnvelope()):
     chi = math.acosh(x) if x > 1.0 else 0.0
     step = max(2.0, math.pi / max(chi, 1e-9))
     spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=2000)
-    return integrate_split(g, split_points(0.0, kp.M, step), spec).value / kp.spectral.R ** 2
+    return (integrate_split(pointwise(g), split_points(0.0, kp.M, step), spec).value
+            / kp.spectral.R ** 2)
 
 
 def product_formula_residual(x, y, mu):

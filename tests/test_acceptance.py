@@ -7,7 +7,7 @@ import random
 
 import mpmath as mp
 
-from hyperdirichlet.numerics import QuadratureSpec, integrate, extrapolate_limit
+from hyperdirichlet.numerics import QuadratureSpec, integrate, extrapolate_limit, pointwise
 from hyperdirichlet.specfun import gamma_modulus_sq
 from hyperdirichlet.spherical import (SpectralParams, phi, phi_legendre,
                                       phi_angular_oracle, eigen_residual,
@@ -149,7 +149,7 @@ def test_criterion_06_origin_values():
     pa5 = SpectralParams(5, 1.0)
     kp5 = KernelParams(pa5, 8.0)
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=2000)
-    integral = integrate(lambda lam: plancherel_density(pa5, lam), 0.0, 8.0, spec).value
+    integral = integrate(pointwise(lambda lam: plancherel_density(pa5, lam)), 0.0, 8.0, spec).value
     d5_err = abs(dirichlet_origin_odd(kp5) - integral) / abs(integral)
     _check(6, f"origin: d=3 rel {worst:.2e} <= 1e-10, extrapolation "
                f"{ext_err:.2e} <= 1e-8, d=5 vs integral {d5_err:.2e} <= 1e-8",

@@ -138,11 +138,82 @@ class TestErrorRecord:
         assert record["error"] == "DomainError"
         assert "band limit" in record["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["phi", "--d", "4", "--lambda", "1", "--chi", "400"],
+        ["kernel", "--d", "4", "--M", "5", "--chi", "720", "--method", "quadrature"],
+        ["kernel", "--d", "4", "--M", "5", "--chi", "400", "--method", "recursion"],
+        ["kernel", "--d", "2", "--M", "5", "--chi", "720", "--method", "recursion"],
+    ], ids=("phi-d4", "quadrature-d4", "recursion-d4", "recursion-d2"))
+    def test_past_the_overflow_of_sinh_squared(self, argv, capsys):
+        # -sinh^2 chi, the 2F1 argument, overflows from chi = 354.9
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "DomainError"
+        assert "overflows" in record["message"]
+
     def test_bad_grid_spec(self, capsys):
         rc = main(["phi", "--d", "3", "--lambda", "5:1:3", "--chi", "1"])
         assert rc == 1
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ValueError"
+
+
+def _kernel_value(capsys, d, chi, method):
+    rc = main(["kernel", "--d", str(d), "--M", "5", "--chi", str(chi), "--method", method])
+    assert rc == 0
+    return float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+
+
+def _kernel_reference(d, chi):
+    """D_5^{(d)}(chi) for d = 3, 5 from the closed forms in 40-digit mpmath."""
+    with mp.workdps(40):
+        x = mp.mpf(chi)
+        delta = lambda t: mp.sin(5 * t) / (mp.pi * t)
+        d1 = mp.diff(delta, x)
+        if d == 3:
+            return float(-2 * d1 / mp.sinh(x))
+        d2 = mp.diff(delta, x, 2)
+        return float(mp.mpf(2) / 3 * (d2 / mp.sinh(x) ** 2 - mp.cosh(x) * d1 / mp.sinh(x) ** 3))
+
+
+class TestPastTheOverflowOfSinh:
+    """Where sinh chi (past 710.47) or a power of it overflows, the kernels
+    either give the value, correctly rounded or underflowed, or exit 1."""
+
+    @pytest.mark.parametrize("method", ["closed", "recursion", "quadrature"])
+    def test_d3_kernel_at_720(self, method, capsys):
+        # the kernel is -1.73e-315 there, subnormal
+        ref = _kernel_reference(3, 720)
+        assert _kernel_value(capsys, 3, 720, method) == pytest.approx(ref, rel=0, abs=1e-322)
+
+    def test_d3_asymptotic_at_720(self, capsys):
+        ref = _kernel_reference(3, 720)
+        assert _kernel_value(capsys, 3, 720, "asymptotic") == pytest.approx(ref, rel=1e-3)
+
+    @pytest.mark.parametrize("method", ["closed", "recursion"])
+    def test_d5_kernel_past_the_overflow_of_sinh_cubed(self, method, capsys):
+        ref = _kernel_reference(5, 300)
+        assert _kernel_value(capsys, 5, 300, method) == pytest.approx(ref, rel=1e-12)
+
+    def test_d7_recursion_underflows(self, capsys):
+        # of order e^{-3 chi}: far below the smallest subnormal
+        assert _kernel_value(capsys, 7, 720, "recursion") == 0.0
+
+    def test_phi_just_below_the_overflow(self, capsys):
+        rc = main(["phi", "--d", "4", "--lambda", "1", "--chi", "354"])
+        assert rc == 0
+        val = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+        with mp.workdps(40):
+            ref = float(mp.re(mp.hyp2f1(0.75 + 0.5j, 0.75 - 0.5j, 2, -mp.sinh(354) ** 2)))
+        assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_phi_d3_at_720(self, capsys):
+        rc = main(["phi", "--d", "3", "--lambda", "1", "--chi", "720"])
+        assert rc == 0
+        val = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+        with mp.workdps(40):
+            ref = float(mp.sin(720) / mp.sinh(720))
+        assert val == pytest.approx(ref, rel=0, abs=1e-322)
 
 
 class TestNamedFunctions:

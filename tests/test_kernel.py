@@ -2,6 +2,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from hyperdirichlet.errors import DomainError
@@ -220,6 +221,30 @@ class TestValidation:
         with pytest.raises(DomainError):
             dirichlet_closed(kp, 1.0)
 
+    def test_d2_past_the_overflow_of_sinh_squared(self):
+        kp = KernelParams(SpectralParams(2), 5.0)
+        with pytest.raises(DomainError):
+            dirichlet_d2(kp, math.cosh(400.0))
+
     def test_m_tilde(self):
         kp = KernelParams(SpectralParams(3, 2.0), 10.0)
         assert kp.M_tilde == 5.0
+
+
+class TestArrayKernels:
+    METHODS = {1: (dirichlet_closed,), 3: (dirichlet_closed, dirichlet_recursion),
+               5: (dirichlet_closed, dirichlet_recursion), 7: (dirichlet_recursion,),
+               9: (dirichlet_recursion,)}
+
+    @pytest.mark.parametrize("d", sorted(METHODS))
+    def test_array_values_equal_the_float_calls(self, d):
+        kp = KernelParams(SpectralParams(d), 7.3)
+        chi = np.array([1e-3, 0.05, 0.3, 0.9, 1.3, 2.0, 5.0, 240.0, 705.0, 720.0])
+        for method in self.METHODS[d]:
+            values = method(kp, chi)
+            assert [float(v) for v in values] == [method(kp, float(c)) for c in chi]
+
+    def test_shannon_delta_on_arrays(self):
+        chi = np.array([-0.3, 0.0, 0.01, 0.04, 2.0])
+        assert [float(v) for v in shannon_delta(10.0, chi)] == [
+            shannon_delta(10.0, float(c)) for c in chi]

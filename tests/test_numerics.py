@@ -1,18 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperdirichlet import numerics
 from hyperdirichlet.errors import DomainError, QuadratureError
-from hyperdirichlet.numerics import (QuadratureSpec, integrate, integrate_split,
-                                     split_points, extrapolate_limit)
+from hyperdirichlet.numerics import (QuadratureSpec, integrate, integrate_cells,
+                                     integrate_split, pointwise, split_points,
+                                     extrapolate_limit)
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=2000)
 
 
 class TestIntegrate:
     def test_zero_integrand(self):
-        res = integrate(lambda x: 0.0, 0.0, 3.0, TIGHT)
+        res = integrate(lambda x: 0.0 * x, 0.0, 3.0, TIGHT)
         assert res.value == 0.0
 
     def test_polynomial_moment(self):
@@ -20,16 +23,16 @@ class TestIntegrate:
         assert abs(res.value - 1.0 / 3.0) < 1e-14
 
     def test_gaussian(self):
-        res = integrate(lambda x: math.exp(-x * x), -8.0, 8.0, TIGHT)
+        res = integrate(lambda x: np.exp(-x * x), -8.0, 8.0, TIGHT)
         assert abs(res.value - math.sqrt(math.pi)) < 1e-12
 
     def test_non_finite_bound_rejected(self):
         for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
             with pytest.raises(DomainError):
-                integrate(lambda x: math.exp(-abs(x)), lo, hi, TIGHT)
+                integrate(lambda x: np.exp(-np.abs(x)), lo, hi, TIGHT)
 
     def test_error_estimate_reported(self):
-        res = integrate(lambda x: math.cos(x), 0.0, 1.0, TIGHT)
+        res = integrate(np.cos, 0.0, 1.0, TIGHT)
         assert abs(res.value - math.sin(1.0)) <= max(res.error_estimate, 1e-14)
         assert res.subdivisions_used >= 0
 
@@ -45,12 +48,12 @@ class TestIntegrate:
     def test_unconverged_budget_still_raises(self):
         spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=5)
         with pytest.raises(QuadratureError):
-            integrate(lambda x: math.sqrt(x), 0.0, 1.0, spec)
+            integrate(np.sqrt, 0.0, 1.0, spec)
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_linearity(self, a, b):
-        f = lambda x: math.sin(3.0 * x)
+        f = lambda x: np.sin(3.0 * x)
         g = lambda x: x * x - 1.0
         lhs = integrate(lambda x: a * f(x) + b * g(x), 0.0, 2.0, TIGHT).value
         rhs = (a * integrate(f, 0.0, 2.0, TIGHT).value
@@ -60,7 +63,7 @@ class TestIntegrate:
 
 def oscillatory(envelope, frequency, phase, lo, hi):
     """int_lo^hi envelope(u) sin(frequency u + phase) du, cut every half-period."""
-    return integrate_split(lambda u: envelope(u) * math.sin(frequency * u + phase),
+    return integrate_split(lambda u: envelope(u) * np.sin(frequency * u + phase),
                            split_points(lo, hi, math.pi / frequency), TIGHT)
 
 
@@ -71,7 +74,7 @@ class TestOscillatory:
 
     def test_decaying_envelope(self):
         # int_0^inf e^{-u} sin(u) du = 1/2 over a long finite window
-        res = oscillatory(lambda u: math.exp(-u), 1.0, 0.0, 0.0, 40.0)
+        res = oscillatory(lambda u: np.exp(-u), 1.0, 0.0, 0.0, 40.0)
         assert abs(res.value - 0.5) < 1e-10
 
     def test_fast_oscillation(self):
@@ -95,13 +98,90 @@ class TestOscillatory:
         assert split_points(0.0, 0.4, 0.5) == [0.0, 0.4]
 
     def test_split_sums_cells_left_to_right(self):
-        f = lambda x: math.exp(x)
+        f = np.exp
         cuts = [0.0, 0.5, 1.25, 2.0]
         cells = [integrate(f, a, b, TIGHT) for a, b in zip(cuts[:-1], cuts[1:])]
         res = integrate_split(f, cuts, TIGHT)
         assert res.value == (0.0 + cells[0].value) + cells[1].value + cells[2].value
         assert res.error_estimate == sum(c.error_estimate for c in cells)
         assert res.subdivisions_used == sum(c.subdivisions_used for c in cells)
+
+
+class TestBatchedEngine:
+    def test_wide_and_per_panel_rules_agree_bitwise(self):
+        rng = np.random.default_rng(8)
+        for n in (8, 40, 300):
+            h = rng.uniform(1e-6, 3.0, n)
+            # rows of different scales, with exact zeros and a constant panel
+            fv = rng.standard_normal((15, n)) * 10.0 ** rng.uniform(-8, 8, n)
+            fv[:, 0] = 0.0
+            fv[:, 1] = 2.5
+            fv[3, 2:7] = 0.0
+            wide = numerics._rule_wide(fv, h)
+            for i in range(n):
+                scalar = numerics._rule_scalar(fv[:, i].tolist(), float(h[i]))
+                assert scalar == (wide[0][i], wide[1][i], wide[2][i])
+
+    def test_split_matches_lone_cells_across_blocks(self):
+        # more cells than one block holds, wide enough to take the array rule
+        f = lambda x: np.sin(7.0 * x) / (1.0 + x)
+        cuts = split_points(0.0, 60.0, math.pi / 7.0)
+        assert len(cuts) - 1 > numerics._BLOCK_CELLS
+        cells = [integrate(f, a, b, TIGHT) for a, b in zip(cuts[:-1], cuts[1:])]
+        res = integrate_split(f, cuts, TIGHT)
+        value = 0.0
+        for c in cells:
+            value += c.value
+        assert res.value == value
+        assert res.subdivisions_used == sum(c.subdivisions_used for c in cells)
+
+    def test_mixed_block_raises_for_the_cell_over_budget(self):
+        # [0, 1]: x^2 can meet no tolerance, but every panel sits at its
+        # rounding floor, so it is accepted; [1, 2]: sqrt(x - 1) spends its
+        # budget above the floor and raises with its own numbers.
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=5)
+        f = lambda x: np.where(x < 1.0, x * x, np.sqrt(np.abs(x - 1.0)))
+        floor_cell = integrate(f, 0.0, 1.0, spec)
+        assert abs(floor_cell.value - 1.0 / 3.0) < 1e-15
+        assert integrate_split(f, [0.0, 0.5, 1.0], spec).subdivisions_used == 10
+        with pytest.raises(QuadratureError) as alone:
+            integrate(f, 1.0, 2.0, spec)
+        for cuts in ([0.0, 1.0, 2.0], [0.0, 0.5, 1.0, 2.0, 2.0]):
+            with pytest.raises(QuadratureError) as mixed:
+                integrate_split(f, cuts, spec)
+            assert mixed.value.value == alone.value.value
+            assert mixed.value.error_estimate == alone.value.error_estimate
+            assert mixed.value.subdivisions_used == 5
+
+    def test_equal_cuts_add_nothing(self):
+        f = np.exp
+        res = integrate_split(f, [0.0, 0.0, 1.0, 1.0, 2.0], TIGHT)
+        ref = integrate_split(f, [0.0, 1.0, 2.0], TIGHT)
+        assert (res.value, res.error_estimate, res.subdivisions_used) == (
+            ref.value, ref.error_estimate, ref.subdivisions_used)
+
+    def test_integrate_cells_tells_each_node_its_cell(self):
+        scale = np.array([1.0, -2.0, 0.5])
+        lo = [0.0, 1.0, 3.0]
+        hi = [1.0, 2.5, 3.0 + math.pi]
+        values, errors, panels = integrate_cells(
+            lambda x, cell: scale[cell] * np.cos(x), lo, hi, TIGHT)
+        for i in range(3):
+            alone = integrate(lambda x: scale[i] * np.cos(x), lo[i], hi[i], TIGHT)
+            assert values[i] == alone.value
+            assert errors[i] == alone.error_estimate
+            assert panels[i] == alone.subdivisions_used
+
+    def test_pointwise_passes_python_floats(self):
+        seen = []
+
+        def g(x):
+            seen.append(type(x))
+            return math.exp(x)
+
+        res = integrate(pointwise(g), 0.0, 1.0, TIGHT)
+        assert abs(res.value - (math.e - 1.0)) < 1e-14
+        assert set(seen) == {float}
 
 
 class TestExtrapolation:

@@ -224,11 +224,11 @@ class TestMehlerFock:
 
     def test_spectral_mass_recovers_boundary_value(self):
         # int_0^inf g(mu) dmu = f(1+)
-        from hyperdirichlet.numerics import QuadratureSpec, integrate
+        from hyperdirichlet.numerics import QuadratureSpec, integrate, pointwise
         f = lambda y: math.exp(-(y - 1.0))
         g = lambda mu: mehler_fock_forward(f, mu, EXP_ENV)
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=2000)
-        total = integrate(g, 0.0, 40.0, spec).value
+        total = integrate(pointwise(g), 0.0, 40.0, spec).value
         assert abs(total - 1.0) < 1e-5
 
     def test_profile_cache_does_not_keep_the_function(self):
@@ -280,14 +280,14 @@ class TestTranslation:
         assert translate_kernel(x, y, x * y - 1.1 * w) == 0.0
 
     def test_kernel_is_probability_density(self):
-        from hyperdirichlet.numerics import QuadratureSpec, integrate
+        from hyperdirichlet.numerics import QuadratureSpec, integrate, pointwise
         x, y = 1.5, 2.0
         w = math.sqrt((x * x - 1) * (y * y - 1))
         # substitute z = xy + w cos(theta) to avoid the endpoint singularities
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=1000)
-        val = integrate(
+        val = integrate(pointwise(
             lambda th: translate_kernel(x, y, x * y + w * math.cos(th))
-            * w * math.sin(th), 0.0, math.pi, spec).value
+            * w * math.sin(th)), 0.0, math.pi, spec).value
         assert val == pytest.approx(1.0, abs=1e-9)
 
 
