@@ -14,9 +14,8 @@ import numpy as np
 from .errors import DomainError, JetDepthError
 from .numerics import QuadratureSpec, integrate_split, pointwise, split_points
 from .cfunction import plancherel_density, poly_coefficients
-from .spherical import (_HYPERBOLIC_MAX, SpectralParams, _phi_array, _sinh_cosh, _unscale,
-                        phi_derivative)
-from .specfun import conical_p0
+from .spherical import _HYPERBOLIC_MAX, SpectralParams, _phi_array, _sinh_cosh, _unscale
+from .specfun import _phi_core
 
 __all__ = [
     "KernelParams",
@@ -44,9 +43,18 @@ class KernelParams:
         return self.M / self.spectral.R
 
 
-def _split_band(f, M, chi):
-    """Integrate the vectorized f over lambda in [0, M], cut at the pi/chi
-    spacing of the cos(lambda chi) oscillation."""
+def _band_integral(pa, M, chi):
+    """The Plancherel band integral int_0^M phi_lam(chi) density(lam) dlam at
+    chi >= 0, cut at the pi/chi spacing of the cos(lam chi) oscillation.
+    d = 1 and d = 3 take phi's array closed form; other dimensions map the
+    scalar core and the density over the nodes together."""
+    if pa.d in (1, 3):
+        density = pointwise(lambda lam: plancherel_density(pa, lam))
+
+        def f(lam):
+            return _phi_array(pa, lam, chi) * density(lam)
+    else:
+        f = pointwise(lambda lam: _phi_core(pa.rho, lam, chi) * plancherel_density(pa, lam))
     cuts = split_points(0.0, M, math.pi / chi) if chi > 0 else [0.0, M]
     spec = QuadratureSpec(abs_tol=1e-9 / (len(cuts) - 1), rel_tol=1e-11,
                           max_subdivisions=600)
@@ -55,17 +63,12 @@ def _split_band(f, M, chi):
 
 def dirichlet_quadrature(kp, chi):
     """Reference path: adaptive quadrature of the band-limited spectral
-    integral of phi against the Plancherel density. Works in every d."""
+    integral of phi against the Plancherel density. Works in every d; even-d
+    dirichlet_recursion and dirichlet_d2 are this same integral."""
     chi = abs(chi)
     if chi == 0.0:
         raise DomainError("dirichlet_quadrature requires chi > 0 (see dirichlet_origin_odd)")
-    pa = kp.spectral
-    density = pointwise(lambda lam: plancherel_density(pa, lam))
-
-    def f(lam):
-        return _phi_array(pa, lam, chi) * density(lam)
-
-    return _split_band(f, kp.M, chi)
+    return _band_integral(kp.spectral, kp.M, chi)
 
 
 def _float_or_array(fn):
@@ -183,16 +186,13 @@ def dirichlet_closed(kp, chi):
 
 def dirichlet_d2(kp, y):
     """d = 2 kernel as a function of y = cosh chi:
-    (1/R^2) int_0^M P_{-1/2+i lam}(y) lam tanh(pi lam) d lam."""
+    (1/R^2) int_0^M P_{-1/2+i lam}(y) lam tanh(pi lam) d lam. The conical
+    function is phi in d = 2 and lam tanh(pi lam) / R^2 its Plancherel
+    density, so this is the band quadrature at chi = acosh y; y = 1 gives
+    the origin value."""
     if y < 1.0:
         raise DomainError("dirichlet_d2 requires y >= 1")
-    R = kp.spectral.R
-    chi = math.acosh(y) if y > 1.0 else 0.0
-
-    def f(lam):
-        return conical_p0(lam, y) * lam * math.tanh(math.pi * lam)
-
-    return _split_band(pointwise(f), kp.M, chi) / (R * R)
+    return _band_integral(SpectralParams(2, kp.spectral.R), kp.M, math.acosh(y))
 
 
 def _derive_divide(g, s):
@@ -304,33 +304,21 @@ def _odd_recursion(kp, chi):
 
 def dirichlet_recursion(kp, chi):
     """Dimension recursion: odd d chains (hat A)^k delta_M on Taylor
-    coefficients, at a float chi or on an ndarray of them; even d applies one
-    step of the d -> d-2 relation, differentiating under the spectral
-    integral with the closed derivative of the spherical function."""
+    coefficients, at a float chi or on an ndarray of them. For even d the
+    step d -> d-2 differentiates under the spectral integral, and the
+    derivative of the (d-2)-dimensional phi is
+    ((rho-1)^2 + lam^2) / (2(d-2)) phi^{(d)} / cosh chi (see phi_derivative);
+    since |c_d|^-2 is proportional to ((rho-1)^2 + lam^2) |c_{d-2}|^-2, the
+    step is the band quadrature itself, and d = 2 is dirichlet_d2."""
     d = kp.spectral.d
     if d % 2 == 1 and d > 1:
         return _odd_recursion(kp, chi)
     chi = abs(chi)
     if chi == 0.0:
         raise DomainError("dirichlet_recursion requires chi > 0")
-    R = kp.spectral.R
     if d < 2:
         raise DomainError("recursion applies for d >= 2")
-    if chi > _HYPERBOLIC_MAX:
-        raise DomainError(f"dirichlet_recursion: cosh chi overflows at chi = {chi}")
-    if d == 2:
-        return dirichlet_d2(kp, math.cosh(chi))
-    # Even d >= 4: D^{(d)} = -(1/(2 a_d R^2 sinh chi)) d/dchi D^{(d-2)} with
-    # d/dchi moved inside the lambda-integral; dz/dchi = -sinh(2 chi).
-    pa = kp.spectral
-    lower = SpectralParams(d - 2, R)
-    a_d = (d - 2) / 2.0
-
-    def f(lam):
-        return phi_derivative(pa, lam, chi) * plancherel_density(lower, lam)
-
-    integral = _split_band(pointwise(f), kp.M, chi)
-    return math.cosh(chi) / (a_d * R * R) * integral
+    return _band_integral(kp.spectral, kp.M, chi)
 
 
 def dirichlet_asymptotic(kp, chi):

@@ -37,17 +37,6 @@ def _is_nonpositive_integer(z):
     return abs(zc.imag) < 1e-14 and zc.real <= 0.5 and abs(zc.real - round(zc.real)) < 1e-14
 
 
-def _minus_sinh_sq(chi):
-    """-sinh^2(chi), the argument of the spherical functions' 2F1; raises
-    DomainError where it overflows (chi > 354.9)."""
-    try:
-        return -math.sinh(chi) ** 2
-    except OverflowError:
-        raise DomainError(
-            f"-sinh^2(chi) overflows at chi = {chi}; the spherical function is "
-            "evaluated for chi <= 354") from None
-
-
 def _lam_over_sinh(x):
     """x / sinh(x), continuous through x = 0."""
     if abs(x) < 1e-6:
@@ -264,16 +253,25 @@ def _mehler_dirichlet(rho, lam, chi):
     return C * math.sinh(chi) ** (1.0 - two_rho_m1 - 1.0) * total
 
 
-def _phi_core(rho, lam, chi, want=1e-11):
+# Relative 2F1 estimate up to which phi takes the series value.
+_PHI_TOL = 1e-11
+
+
+def _phi_core(rho, lam, chi):
     """Zonal spherical function Phi_lam^{(rho-1/2,-1/2)}(chi) for rho >= 1/2."""
     if chi == 0.0:
         return 1.0
-    z = _minus_sinh_sq(chi)
+    try:
+        z = -math.sinh(chi) ** 2
+    except OverflowError:
+        raise DomainError(
+            f"-sinh^2(chi) overflows at chi = {chi}; the spherical function is "
+            "evaluated for chi <= 354") from None
     a = 0.5 * (rho + 1j * lam)
     b = 0.5 * (rho - 1j * lam)
     c = rho + 0.5
-    val, est = _hyp2f1_ex(a, b, c, z, want)
-    if est <= want and abs(val.imag) <= 1e-10 * max(1.0, abs(val.real)):
+    val, est = _hyp2f1_ex(a, b, c, z, _PHI_TOL)
+    if est <= _PHI_TOL and abs(val.imag) <= 1e-10 * max(1.0, abs(val.real)):
         return val.real
     return _mehler_dirichlet(rho, lam, chi)
 

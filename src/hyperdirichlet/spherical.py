@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .numerics import QuadratureSpec, integrate, pointwise
-from .specfun import _hyp2f1_ex, _minus_sinh_sq, _phi_core, spherical_bessel
+from .specfun import _hyp2f1_ex, _phi_core, spherical_bessel
 
 __all__ = [
     "SpectralParams",
@@ -126,7 +126,9 @@ def phi(params, lam, chi):
 def phi_legendre(params, lam, chi):
     """Second realization of phi through the associated Legendre function
     P^{-(rho-1/2)}_{-1/2+i lam}(cosh chi), evaluated by the half-argument
-    hypergeometric representation. Numerically independent of phi."""
+    hypergeometric representation. Numerically independent of phi. Raises
+    ConvergenceError, carrying the value, where the 2F1 cannot certify 10
+    significant digits."""
     if chi <= 0:
         raise DomainError("phi_legendre requires chi > 0 (use phi at 0)")
     mu = params.rho - 0.5
@@ -134,12 +136,17 @@ def phi_legendre(params, lam, chi):
     # P^{-mu}_nu(x) = ((x-1)/(x+1))^{mu/2} F(nu+1, -nu; 1+mu; (1-x)/2) / Gamma(1+mu)
     nu = -0.5 + 1j * lam
     zz = 0.5 * (1.0 - x)
-    val, _est = _hyp2f1_ex(nu + 1.0, -nu, 1.0 + mu, zz)
+    val, est = _hyp2f1_ex(nu + 1.0, -nu, 1.0 + mu, zz)
     half = 0.5 * mu * (math.log(x - 1.0) - math.log(x + 1.0))
     legendre = cmath.exp(half - math.lgamma(1.0 + mu)) * val
     pref = math.exp((params.rho - 0.5) * math.log(2.0) + math.lgamma(params.rho + 0.5)
                     - (params.rho - 0.5) * math.log(math.sinh(chi)))
-    return (pref * legendre).real
+    value = (pref * legendre).real
+    if not est <= 1e-9:
+        raise ConvergenceError(
+            f"phi_legendre: the 2F1 could not certify 10 significant digits at "
+            f"lam = {lam}, chi = {chi}", value=value, error_estimate=est * abs(value))
+    return value
 
 
 def phi_angular_oracle(params, lam, chi):
@@ -168,22 +175,18 @@ def phi_angular_oracle(params, lam, chi):
 
 
 def phi_derivative(params, lam, chi):
-    """d/dz of Phi^{(a-1,b)} at z = -sinh^2(chi), expressed through the
-    raised-parameter function: [((a+b)^2 + lam^2)/(4a)] Phi^{(a,b+1)}(z),
-    with Phi^{(a,b+1)}(z) = (1-z)^{-(b+1)} 2F1((a-b+i lam)/2, (a-b-i lam)/2;
-    a+1; z). Here a = rho - 1/2 of the d-dimensional parameter set."""
-    a = params.a
-    b = params.b
-    if a == 0.0:
-        raise DomainError("phi_derivative needs a > 0 (d >= 2 for the shifted pair)")
-    if a < 0.5:
-        raise DomainError("the shifted pair requires a >= 1/2 (d >= 3)")
-    z = _minus_sinh_sq(chi)
-    bracket = ((a + b) ** 2 + lam * lam) / (4.0 * a)
-    p = 0.5 * (a - b)
-    val, _est = _hyp2f1_ex(p + 0.5j * lam, p - 0.5j * lam, a + 1.0, z)
-    raised = (1.0 - z) ** (-(b + 1.0)) * val
-    return bracket * raised.real
+    """d/dz of the (d-2)-dimensional spherical function at z = -sinh^2(chi),
+    with params the d-dimensional parameter set (d >= 3). By DLMF 15.5.1 and
+    Euler's transformation 15.8.1 it is
+    ((rho-1)^2 + lam^2) / (2(d-2)) * phi^{(d)}_lam(chi) / cosh chi,
+    which is what the even-d dimension recursion integrates."""
+    if params.d < 3:
+        raise DomainError("phi_derivative needs d >= 3")
+    bracket = ((params.rho - 1.0) ** 2 + lam * lam) / (2.0 * (params.d - 2))
+    # 1 / cosh chi as 2 e^-chi / (1 + e^-2chi): cosh itself overflows past
+    # chi = 710.47, where phi in d = 3 is still representable.
+    e = math.exp(-abs(chi))
+    return bracket * phi(params, abs(lam), abs(chi)) * (2.0 * e / (1.0 + e * e))
 
 
 def eigen_residual(params, lam, chi, h):

@@ -23,7 +23,7 @@ from .numerics import (QuadratureSpec, integrate, integrate_cells, integrate_spl
 from .spherical import SpectralParams, _phi_array
 from .specfun import conical_p0
 from .cfunction import plancherel_density
-from .kernel import KernelParams, _power, dirichlet_closed, dirichlet_recursion
+from .kernel import KernelParams, _band_integral, _power, dirichlet_closed, dirichlet_recursion
 
 __all__ = [
     "RadialFunction",
@@ -57,7 +57,6 @@ class RadialFunction:
     profile: object
     support_bound: float
     breakpoints: tuple = None
-    smoothness_class: int = 2
     one_sided_limits: dict = None
     derivative: object = None
     second_derivative: object = None
@@ -189,6 +188,10 @@ def fh_forward(f, params, lam):
     return Rd * total
 
 
+# Points of each of the graded and the uniform layer of an Abel profile's grid.
+_ABEL_GRID = 2200
+
+
 class _AbelCosineProfile:
     """Cached Abel reduction of a weight function on (1, Y):
 
@@ -200,18 +203,18 @@ class _AbelCosineProfile:
     a square root) and interpolated with a monotone cubic.
     """
 
-    def __init__(self, f_of_y, y_max, chi_breaks=(), n_grid=2200):
+    def __init__(self, f_of_y, y_max, chi_breaks=()):
         self.y_max = float(y_max)
         self.T = math.acosh(self.y_max)
         breaks = sorted(b for b in chi_breaks if 0.0 < b < self.T)
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
-        us = np.linspace(0.0, 1.0, n_grid)
+        us = np.linspace(0.0, 1.0, _ABEL_GRID)
         # Graded nodes resolve the square-root vanishing at t = T; the uniform
         # layer keeps the interpolation error small near t = 0 as well, where
         # the graded map leaves wide cells.
         ts = sorted(set(
             [float(math.acosh(self.y_max - (self.y_max - 1.0) * u * u)) for u in us[1:]]
-            + [float(t) for t in np.linspace(0.0, self.T, n_grid)[1:-1]]
+            + [float(t) for t in np.linspace(0.0, self.T, _ABEL_GRID)[1:-1]]
             + [0.0, self.T] + breaks))
         self._ts = np.array(ts)
         # F(t) = int_0^smax 2 f(cosh t + s^2) ds with s^2 = y - cosh t, cut at
@@ -244,39 +247,34 @@ class _AbelCosineProfile:
         self._Fs[np.abs(self._Fs) < np.finfo(float).tiny] = 0.0
         self._interp = PchipInterpolator(self._ts, self._Fs, extrapolate=False)
         # Gauss-Legendre panels aligned with the interpolation cells turn each
-        # cosine moment into one vectorized dot product; cells are subdivided
-        # per mu so no panel sees more than ~2 radians of oscillation.
+        # cosine moment into one vectorized dot product. No panel may see more
+        # than ~2 radians of oscillation: up to mu = 2/h_max one panel per
+        # cell does, and those panels are built here once; past it the cells
+        # are subdivided per mu.
         self._gx, self._gw = np.polynomial.legendre.leggauss(8)
-        self._node_cache = {}
+        self._h = np.diff(self._ts)
+        self._h_max = float(self._h.max())
+        self._panels = self._panel_arrays(np.ones(self._h.size, int))
 
-    def F(self, t):
-        if t >= self.T:
-            return 0.0
-        return float(self._interp(t))
-
-    def _panel_arrays(self, mu):
-        h = np.diff(self._ts)
-        nsub = np.maximum(np.ceil(abs(mu) * h / 2.0).astype(int), 1)
-        key = nsub.tobytes()
-        hit = self._node_cache.get(key)
-        if hit is not None:
-            return hit
+    def _panel_arrays(self, nsub):
+        """Nodes and interpolant-weighted weights of the Gauss-Legendre panels,
+        with cell i cut into nsub[i] equal panels."""
         lo_cell = np.repeat(self._ts[:-1], nsub)
-        hs = np.repeat(h / nsub, nsub)
+        hs = np.repeat(self._h / nsub, nsub)
         idx = np.arange(int(nsub.sum())) - np.repeat(np.cumsum(nsub) - nsub, nsub)
         lo = lo_cell + idx * hs
         mids = lo + 0.5 * hs
         halfs = 0.5 * hs
         nodes = (mids[:, None] + halfs[:, None] * self._gx[None, :]).ravel()
         fw = (halfs[:, None] * self._gw[None, :]).ravel() * self._interp(nodes)
-        if len(self._node_cache) > 64:
-            self._node_cache.clear()
-        self._node_cache[key] = (nodes, fw)
         return nodes, fw
 
     def cosine_moment(self, mu):
         """sqrt(2)/pi * int_0^T F(t) cos(mu t) dt."""
-        nodes, fw = self._panel_arrays(mu)
+        if abs(mu) * self._h_max / 2.0 <= 1.0:
+            nodes, fw = self._panels
+        else:
+            nodes, fw = self._panel_arrays(np.ceil(abs(mu) * self._h / 2.0).astype(int))
         s = float(np.dot(fw, np.cos(mu * nodes)))
         return math.sqrt(2.0) / math.pi * s
 
@@ -360,7 +358,7 @@ def partial_sum(f, params, M, chi=0.0):
     elif d % 2:
         kernel_at = lambda x: dirichlet_recursion(kp, x)
     else:
-        kernel_at = pointwise(lambda x: dirichlet_recursion(kp, x))
+        kernel_at = pointwise(lambda x: _band_integral(params, M, x))
     Rd = params.R ** d
     profile = pointwise(f.profile)
 
@@ -401,20 +399,21 @@ def parseval_check(f, params, lambda_max, grid_step=0.25):
 _MF_CACHE = weakref.WeakKeyDictionary()
 
 
-def _mf_profile(f, envelope, tol=1e-11):
+def _mf_profile(f, envelope):
     try:
         profiles = _MF_CACHE.setdefault(f, {})
     except TypeError:  # f does not support weak references: build uncached
         profiles = {}
-    prof = profiles.get((envelope, tol))
+    prof = profiles.get(envelope)
     if prof is None:
-        Y = envelope.truncation_point(tol / 10.0)
+        # The tail past Y is below a tenth of the index integrals' 1e-11.
+        Y = envelope.truncation_point(1e-12)
         for yy in (1.5, 3.0, 7.0, 0.5 * (1.0 + Y)):
             if yy < Y and abs(f(yy)) > envelope.bound(yy) * (1.0 + 1e-9) + 1e-300:
                 raise EnvelopeError(
                     f"declared decay envelope is violated at y = {yy}")
         prof = _AbelCosineProfile(f, Y)
-        profiles[(envelope, tol)] = prof
+        profiles[envelope] = prof
     return prof
 
 

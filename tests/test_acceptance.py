@@ -109,7 +109,7 @@ def test_criterion_04_gamma_identities():
     _check(4, f"gamma identities rel {worst:.2e} <= 1e-10", worst <= 1e-10)
 
 
-def test_criterion_05_kernel_three_way():
+def test_criterion_05_kernel_three_way(band_kernel_reference):
     worst_odd = 0.0
     for d in (3, 5):
         pa = SpectralParams(d)
@@ -120,16 +120,18 @@ def test_criterion_05_kernel_three_way():
                 closed = dirichlet_closed(kp, chi)
                 rec = dirichlet_recursion(kp, chi)
                 worst_odd = max(worst_odd, abs(quad - closed), abs(rec - closed))
+    # even d: the recursion is the quadrature, so both meet mpmath instead
     worst_even = 0.0
-    for d in (2, 4):
+    for d in (2, 4, 6):
         pa = SpectralParams(d)
         for M in (5.0, 20.0):
             kp = KernelParams(pa, M)
             for chi in (0.3, 1.0, 2.0):
-                worst_even = max(worst_even, abs(dirichlet_quadrature(kp, chi)
-                                                 - dirichlet_recursion(kp, chi)))
+                ref = band_kernel_reference(d, M, chi)
+                worst_even = max(worst_even, abs(dirichlet_quadrature(kp, chi) - ref),
+                                 abs(dirichlet_recursion(kp, chi) - ref))
     _check(5, f"kernel three-way odd {worst_odd:.2e} <= 1e-7, "
-               f"even {worst_even:.2e} <= 1e-6",
+               f"even vs mpmath {worst_even:.2e} <= 1e-6",
            worst_odd <= 1e-7 and worst_even <= 1e-6)
 
 

@@ -129,6 +129,31 @@ class TestGoldenValues:
         errs = [float(r.split(",")[1]) for r in rows]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_transform_inverse_matches_library(self, capsys):
+        from hyperdirichlet.spherical import SpectralParams
+        from hyperdirichlet.transform import fh_inverse, spectrum_table
+        rc = main(["transform", "--d", "3", "--action", "inverse", "--f", "bump",
+                   "--lambda", "0:20:81", "--chi", "0.2:1:3"])
+        assert rc == 0
+        rows = [[float(tok) for tok in r.split(",")]
+                for r in capsys.readouterr().out.splitlines()[1:]]
+        grid = _parse_grid("0:20:81")
+        table = spectrum_table(make_test_function("bump", 1.0), SpectralParams(3), grid)
+        assert rows == [[chi, fh_inverse(table, chi, 20.0)] for chi in _parse_grid("0.2:1:3")]
+
+    def test_limits_density_matches_library(self, capsys):
+        from hyperdirichlet.cfunction import density_euclid_constant, density_euclid_limit
+        from hyperdirichlet.spherical import SpectralParams
+        rc = main(["limits", "--mode", "density", "--d", "4", "--p", "1.5",
+                   "--Rgrid", "10:40:3"])
+        assert rc == 0
+        rows = [[float(tok) for tok in r.split(",")]
+                for r in capsys.readouterr().out.splitlines()[1:]]
+        pa = SpectralParams(4)
+        limit = density_euclid_constant(pa, 1.5)
+        values = density_euclid_limit(pa, 1.5, [10.0, 25.0, 40.0])
+        assert rows == [[R, v, abs(v - limit)] for R, v in zip((10.0, 25.0, 40.0), values)]
+
 
 class TestErrorRecord:
     def test_domain_error_exit_code(self, capsys):
@@ -150,6 +175,16 @@ class TestErrorRecord:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "DomainError"
         assert "overflows" in record["message"]
+
+    @pytest.mark.parametrize("argv,error", [
+        (["transform", "--d", "3", "--action", "inverse", "--lambda", "0:20:4"], "GridError"),
+        (["limits", "--mode", "density", "--Rgrid", "40:10:3"], "ValueError"),
+    ], ids=("transform-inverse", "limits-density"))
+    def test_bad_grid_record(self, argv, error, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == error
 
     def test_bad_grid_spec(self, capsys):
         rc = main(["phi", "--d", "3", "--lambda", "5:1:3", "--chi", "1"])

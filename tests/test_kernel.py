@@ -54,15 +54,25 @@ class TestThreeWayAgreement:
                     rec = dirichlet_recursion(kp, chi)
                     assert rec == pytest.approx(quad, rel=1e-9)
 
-    def test_even_dimensions(self):
-        for d in (2, 4):
+    def test_even_dimensions(self, band_kernel_reference):
+        # even-d recursion and dirichlet_d2 are the band quadrature, so each
+        # is checked against mpmath rather than against the others
+        for d in (2, 4, 6):
             pa = SpectralParams(d)
             for M in (5.0, 20.0):
                 kp = KernelParams(pa, M)
                 for chi in (0.3, 1.0, 2.0):
-                    quad = dirichlet_quadrature(kp, chi)
-                    rec = dirichlet_recursion(kp, chi)
-                    assert abs(quad - rec) < 1e-6
+                    ref = band_kernel_reference(d, M, chi)
+                    assert abs(dirichlet_quadrature(kp, chi) - ref) < 1e-6
+                    assert abs(dirichlet_recursion(kp, chi) - ref) < 1e-6
+                    if d == 2:
+                        assert abs(dirichlet_d2(kp, math.cosh(chi)) - ref) < 1e-6
+
+    def test_d2_origin_value(self):
+        # at y = 1 the band integral is the Plancherel mass of [0, M]
+        kp = KernelParams(SpectralParams(2), 3.0)
+        mass = mpmath.quad(lambda lam: lam * mpmath.tanh(mpmath.pi * lam), [0, 3])
+        assert dirichlet_d2(kp, 1.0) == pytest.approx(float(mass), rel=1e-12)
 
     def test_d1_closed(self):
         pa = SpectralParams(1)

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from hyperdirichlet.errors import DomainError
+from hyperdirichlet.errors import ConvergenceError, DomainError
 from hyperdirichlet.spherical import (SpectralParams, phi, phi_legendre,
                                       phi_angular_oracle, phi_derivative,
                                       eigen_residual, euclidean_limit_error)
@@ -53,6 +53,15 @@ class TestPhi:
             for lam in LAMBDAS:
                 for chi in CHIS:
                     assert abs(phi(pa, lam, chi) - phi_legendre(pa, lam, chi)) < 1e-9
+
+    @pytest.mark.parametrize("d", (2, 4, 7))
+    def test_legendre_raises_where_its_2f1_cannot_certify(self, d):
+        # the half-argument 2F1 cancels here: d = 2 returned 7305.8, where
+        # mpmath gives 0.054651
+        with pytest.raises(ConvergenceError) as err:
+            phi_legendre(SpectralParams(d), 100.0, 0.5)
+        assert math.isfinite(err.value.value)
+        assert err.value.error_estimate > 1e-9 * abs(err.value.value)
 
     def test_angular_oracle_spot_checks(self):
         for d, lam, chi in ((2, 1.0, 0.5), (4, 5.0, 1.0), (6, 0.5, 2.0)):
@@ -142,6 +151,22 @@ class TestPhiDerivative:
                 fd = (phi(lower, lam, chi + h) - phi(lower, lam, chi - h)) / (2 * h)
                 dz = phi_derivative(pa, lam, chi) * (-math.sinh(2.0 * chi))
                 assert dz == pytest.approx(fd, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("d,lam,chi", [
+        (d, lam, chi) for d in (4, 6, 8) for lam in (0.7, 3.0, 17.0)
+        for chi in (0.3, 1.0, 2.5)] + [(4, 0.0, 8.0)])
+    def test_against_mpmath(self, d, lam, chi):
+        # DLMF 15.5.1 on the (d-2)-dimensional 2F1(a, b; c; z):
+        # d/dz F = (a b / c) F(a+1, b+1; c+1; z), z = -sinh^2 chi
+        with mp.workdps(30):
+            rho = mp.mpf(d - 3) / 2
+            a = (rho + 1j * mp.mpf(lam)) / 2
+            b = (rho - 1j * mp.mpf(lam)) / 2
+            c = rho + mp.mpf(1) / 2
+            z = -mp.sinh(mp.mpf(chi)) ** 2
+            ref = float(mp.re(a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)))
+        assert phi_derivative(SpectralParams(d), lam, chi) == pytest.approx(
+            ref, rel=1e-10, abs=0.0)
 
     def test_needs_d_at_least_3(self):
         with pytest.raises(DomainError):

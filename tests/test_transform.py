@@ -6,7 +6,7 @@ import pytest
 
 from hyperdirichlet.errors import DomainError, EnvelopeError, GridError
 from hyperdirichlet.spherical import SpectralParams
-from hyperdirichlet.kernel import KernelParams, dirichlet_d2
+from hyperdirichlet.kernel import KernelParams, dirichlet_d2, dirichlet_quadrature
 from hyperdirichlet.transform import (RadialFunction, SpectrumTable,
                                       DecayEnvelope, fh_forward, fh_inverse,
                                       spectrum_table, partial_sum,
@@ -185,6 +185,29 @@ class TestPartialSum:
         assert partial_sum(ramp, pa, 144.0) == pytest.approx(
             -8.059071414040845, abs=1e-10)
 
+    def test_d2_abel_route_vs_kernel_quadrature(self):
+        # S_M f(0) = int_0^a f(chi) D_M(chi) sinh chi dchi, with D_M by the
+        # band quadrature instead of the Abel profile's cosine moments
+        from hyperdirichlet.numerics import QuadratureSpec, integrate, pointwise
+        pa = SpectralParams(2)
+        f = bump()
+        kp = KernelParams(pa, 4.0)
+        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=200)
+        direct = integrate(pointwise(lambda x: f(x) * dirichlet_quadrature(kp, x)
+                                     * math.sinh(x)), 0.0, 1.0, spec).value
+        assert partial_sum(f, pa, 4.0) == pytest.approx(direct, abs=1e-7)
+
+    def test_even_d4_vs_spectral_side(self):
+        # S_M f(0) = int_0^M fhat(lam) density(lam) dlam, phi being 1 at 0
+        from hyperdirichlet.cfunction import plancherel_density
+        from hyperdirichlet.numerics import QuadratureSpec, integrate, pointwise
+        pa = SpectralParams(4)
+        f = bump()
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
+        spectral = integrate(pointwise(lambda lam: fh_forward(f, pa, lam)
+                                       * plancherel_density(pa, lam)), 0.0, 2.0, spec).value
+        assert partial_sum(f, pa, 2.0) == pytest.approx(spectral, abs=1e-12)
+
     def test_d5_recursion_path_vs_boundary_audit(self):
         from hyperdirichlet.convergence import example_d5_boundary_audit
         pa = SpectralParams(5)
@@ -254,6 +277,32 @@ class TestMehlerFock:
     def test_power_envelope_needs_integrable_tail(self):
         with pytest.raises(EnvelopeError):
             DecayEnvelope("power", 1.0, 0.5).truncation_point(1e-6)
+
+    def test_inverse_at_the_origin_is_the_band_sum(self):
+        # at y = 1 the inverse transform of g = mehler_fock_forward(f) over
+        # [0, M] is the partial sum converge_d2 takes, cut differently
+        from hyperdirichlet.convergence import converge_d2
+        f = lambda y: math.exp(-(y - 1.0))
+        g = lambda mu: mehler_fock_forward(f, mu, EXP_ENV)
+        report = converge_d2(f, [1.0, 2.0, 4.0], 1.0, 5e-2, EXP_ENV)
+        assert mehler_fock_inverse(g, 1.0, 4.0) == pytest.approx(
+            report.partial_sums[-1], abs=1e-9)
+
+    @pytest.mark.parametrize("factor", (1.5, 3.3))
+    def test_cosine_moment_past_one_panel_per_cell(self, factor):
+        # Past mu = 2 / h_max the profile's cells are cut into several
+        # Gauss-Legendre panels; the interpolant is integrated here cell by
+        # cell by QUADPACK's cosine-weighted rule instead.
+        from scipy.integrate import quad
+        from hyperdirichlet.cli import make_test_function
+        from hyperdirichlet.transform import _radial_abel_profile
+        prof = _radial_abel_profile(make_test_function("one-jump", 1.0))
+        ts = prof._ts
+        mu = factor * 2.0 / float(max(ts[1:] - ts[:-1]))
+        ref = math.sqrt(2.0) / math.pi * math.fsum(
+            quad(prof._interp, a, b, weight="cos", wvar=mu)[0]
+            for a, b in zip(ts[:-1], ts[1:]))
+        assert prof.cosine_moment(mu) == pytest.approx(ref, rel=1e-8, abs=1e-15)
 
     def test_inverse_domain(self):
         with pytest.raises(DomainError):
