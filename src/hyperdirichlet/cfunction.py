@@ -64,6 +64,8 @@ def inv_c_modulus_sq(params, lam):
     for odd d and vanishing like lam tanh(pi lam) for even d."""
     d = params.d
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise DomainError(f"|c|^-2 requires a finite lambda, got {lam}")
     if d == 1:
         return 4.0
     if d % 2 == 1:
@@ -90,8 +92,8 @@ def c_modulus_sq_closed(params, lam):
 
 def plancherel_density(params, lam):
     """Spectral weight (2^{2 rho} / (2 pi R^d)) |c(lam, rho)|^{-2}."""
-    if lam < 0:
-        raise DomainError("plancherel_density requires lam >= 0")
+    if not 0 <= lam < math.inf:
+        raise DomainError("plancherel_density requires a finite lam >= 0")
     pref = 2.0 ** (2.0 * params.rho) / (2.0 * math.pi * params.R ** params.d)
     return pref * inv_c_modulus_sq(params, lam)
 
@@ -156,6 +158,8 @@ def density_euclid_limit(params, p_norm, R_values):
     from .spherical import SpectralParams
     out = []
     for R in R_values:
+        if not 0 < R < math.inf:
+            raise DomainError(f"density_euclid_limit requires 0 < R < inf, got R = {R}")
         pa = SpectralParams(params.d, 1.0)
         out.append(inv_c_modulus_sq(pa, p_norm * R) * float(R) ** (1 - params.d))
     return out

@@ -68,7 +68,14 @@ def make_test_function(name, a):
             w = 1.0 - u * u
             return f(x) * (-2.0 * u / (w * w)) / a
 
-        return RadialFunction(f, a, derivative=f1)
+        def f2(x):
+            u = x / a
+            if u >= 1.0:
+                return 0.0
+            w = 1.0 - u * u
+            return f(x) * (4.0 * u * u / w ** 4 - (2.0 + 6.0 * u * u) / w ** 3) / (a * a)
+
+        return RadialFunction(f, a, derivative=f1, second_derivative=f2)
     if name == "exp-decay":
         return RadialFunction(lambda x: math.exp(-x), a,
                               derivative=lambda x: -math.exp(-x),

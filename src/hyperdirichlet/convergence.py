@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from .errors import DomainError, JetDepthError
 from .numerics import extrapolate_limit, pointwise
 from .kernel import shannon_delta, _delta1
-from .transform import (DecayEnvelope, _band_sum, _chi_oscillatory, _mf_profile,
-                        partial_sum)
+from .transform import (DecayEnvelope, _chi_oscillatory, _index_weight, _mf_profile,
+                        mehler_fock_inverse, partial_sum)
 
 __all__ = [
     "ConvergenceReport",
@@ -129,14 +129,6 @@ class BoundaryAudit:
                 + self.interior_integrals)
 
 
-def _one_sided_derivative(g, x, h, side):
-    """Fourth-order one-sided finite difference of g at x from inside."""
-    s = -1.0 if side == "left" else 1.0
-    pts = [g(x + s * j * h) for j in range(5)]
-    return s * (-25.0 * pts[0] + 48.0 * pts[1] - 36.0 * pts[2]
-                + 16.0 * pts[3] - 3.0 * pts[4]) / (12.0 * h)
-
-
 def example_d5_boundary_audit(f, params, M):
     """Reassemble the d = 5 partial sum at the origin from its boundary and
     interior pieces, exposing each group so the vanishing of the jump terms
@@ -157,38 +149,12 @@ def example_d5_boundary_audit(f, params, M):
         df0 = pairs[0][1] - pairs[0][0]
         df1 = pairs[1][1] - pairs[1][0]
         jumps.append((b, df0, df1))
+    if f.derivative is None or f.second_derivative is None:
+        raise DomainError("the boundary audit needs the declared derivative and "
+                          "second_derivative of the profile")
 
-    h = 1e-3
     fa = f.profile(a)
-    if f.derivative is not None:
-        fpa = f.derivative(a)
-    else:
-        fpa = _one_sided_derivative(f.profile, a, h, "left")
-
-    def d1(x, lo, hi):
-        if f.derivative is not None:
-            return f.derivative(x)
-        xc = min(max(x, lo + 2 * h), hi - 2 * h)
-        pts = [f.profile(xc + j * h) for j in (-2, -1, 0, 1, 2)]
-        base = (pts[0] - 8.0 * pts[1] + 8.0 * pts[3] - pts[4]) / (12.0 * h)
-        if xc != x:
-            # shifted stencil: correct to first order with the second difference
-            d2c = (-pts[0] + 16.0 * pts[1] - 30.0 * pts[2]
-                   + 16.0 * pts[3] - pts[4]) / (12.0 * h * h)
-            base += (x - xc) * d2c
-        return base
-
-    def d2(x, lo, hi):
-        if f.second_derivative is not None:
-            return f.second_derivative(x)
-        if f.derivative is not None:
-            xc = min(max(x, lo + 2 * h), hi - 2 * h)
-            pts = [f.derivative(xc + j * h) for j in (-2, -1, 0, 1, 2)]
-            return (pts[0] - 8.0 * pts[1] + 8.0 * pts[3] - pts[4]) / (12.0 * h)
-        xc = min(max(x, lo + 2 * h), hi - 2 * h)
-        pts = [f.profile(xc + j * h) for j in (-2, -1, 0, 1, 2)]
-        return (-pts[0] + 16.0 * pts[1] - 30.0 * pts[2]
-                + 16.0 * pts[3] - pts[4]) / (12.0 * h * h)
+    fpa = f.derivative(a)
 
     dM = lambda x: shannon_delta(M, x)
     dM1 = lambda x: _delta1(M, x)
@@ -204,17 +170,21 @@ def example_d5_boundary_audit(f, params, M):
     jump_deriv = (2.0 / 3.0) * sum(dM(b) * df1 * sh2(b) for b, _, df1 in jumps)
 
     profile = pointwise(f.profile)
+    d1 = pointwise(f.derivative)
+    d2 = pointwise(f.second_derivative)
+
+    def g(x):
+        fv = profile(x)
+        f1 = d1(x)
+        f2 = d2(x)
+        s2 = pointwise(s2x)(x)
+        c2 = pointwise(c2x)(x)
+        second = f2 * pointwise(sh2)(x) + 2.0 * f1 * s2 + 2.0 * fv * c2
+        first = f1 * s2 + 2.0 * fv * c2
+        return ((2.0 / 3.0) * second + (1.0 / 3.0) * first) * shannon_delta(M, x)
+
     interior_total = 0.0
     for lo, hi in f.pieces():
-        def g(x, lo=lo, hi=hi):
-            fv = profile(x)
-            f1 = pointwise(lambda t: d1(t, lo, hi))(x)
-            f2 = pointwise(lambda t: d2(t, lo, hi))(x)
-            s2 = pointwise(s2x)(x)
-            c2 = pointwise(c2x)(x)
-            second = f2 * pointwise(sh2)(x) + 2.0 * f1 * s2 + 2.0 * fv * c2
-            first = f1 * s2 + 2.0 * fv * c2
-            return ((2.0 / 3.0) * second + (1.0 / 3.0) * first) * shannon_delta(M, x)
         interior_total += _chi_oscillatory(g, M, lo, hi, abs_tol=1e-10, rel_tol=1e-10)
 
     return BoundaryAudit(endpoint, delta_jump, delta_prime_jump, jump_deriv,
@@ -225,9 +195,9 @@ def converge_d2(f, M_schedule, target_f_at_1, tol, envelope=DecayEnvelope()):
     """d = 2 index-integral limit: sweep
     S_M = int_0^M lam tanh(pi lam) [int_1^inf P_{-1/2+i lam}(y) f(y) dy] dlam
     over M_schedule and judge convergence to f(1+)."""
-    prof = _mf_profile(f, envelope)
+    g = _index_weight(_mf_profile(f, envelope))
     schedule = sorted(float(m) for m in M_schedule)
-    sums = [_band_sum(prof, M, 1e-9) for M in schedule]
+    sums = [mehler_fock_inverse(g, 1.0, M) for M in schedule]
     return _assemble_report(schedule, sums, target_f_at_1, tol)
 
 

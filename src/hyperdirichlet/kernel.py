@@ -35,8 +35,8 @@ class KernelParams:
     M: float
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise DomainError("band limit M must be positive")
+        if not 0 < self.M < math.inf:
+            raise DomainError("band limit M must be positive and finite")
 
     @property
     def M_tilde(self):
@@ -334,17 +334,15 @@ def dirichlet_asymptotic(kp, chi):
         warnings.warn("dirichlet_asymptotic called with M*chi < 10; leading order unreliable",
                       stacklevel=2)
     rho = pa.rho
-    if chi > _HYPERBOLIC_MAX / max(rho, 1.0):
-        # sinh^rho chi would overflow; sinh chi = e^chi / 2 to double
-        # precision here, so the amplitude is formed in log space.
+    # Every factor in log space, so none (M^rho, R^d, sinh^rho chi) overflows
+    # on its own; log sinh chi = chi - log 2 + log(1 - e^{-2 chi}).
+    try:
         amp = math.exp((1.0 - rho) * math.log(2.0) + rho * math.log(M)
-                       - math.log(math.sqrt(math.pi) * math.gamma(rho + 0.5)
-                                  * pa.R ** pa.d * chi)
-                       - rho * (chi - math.log(2.0)))
-    else:
-        amp = (2.0 ** (1.0 - rho) * M ** rho
-               / (math.sqrt(math.pi) * math.gamma(rho + 0.5) * pa.R ** pa.d
-                  * chi * math.sinh(chi) ** rho))
+                       - 0.5 * math.log(math.pi) - math.lgamma(rho + 0.5)
+                       - pa.d * math.log(pa.R) - math.log(chi)
+                       - rho * (chi - math.log(2.0) + math.log(-math.expm1(-2.0 * chi))))
+    except OverflowError:
+        raise DomainError(f"the asymptotic kernel overflows at M = {M}, chi = {chi}") from None
     return amp * math.sin(M * chi - 0.5 * math.pi * rho)
 
 
@@ -363,8 +361,11 @@ def dirichlet_origin_odd(kp):
     rho = kp.spectral.rho
     poly = poly_coefficients(k, "odd")
     total = 0.0
-    for l in range(1, k + 1):
-        total += poly.coefficients[l - 1] * M ** (2 * l + 1) / (2 * l + 1)
+    try:
+        for l in range(1, k + 1):
+            total += poly.coefficients[l - 1] * M ** (2 * l + 1) / (2 * l + 1)
+    except OverflowError:
+        raise DomainError(f"the origin value overflows at d = {d}, M = {M}") from None
     pref = (math.gamma(k) ** 2
             / (2.0 ** (2.0 * rho - 1.0) * math.gamma(rho + 0.5) ** 2 * R ** d))
     return pref * total

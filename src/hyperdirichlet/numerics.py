@@ -306,6 +306,11 @@ def integrate(f, lo, hi, spec=None):
     return IntegralResult(values[0], errors[0], panels[0])
 
 
+# Most cells split_points makes. No integral of the package comes near it; a
+# band limit such as 1e300 would otherwise loop about 1e300 times.
+_MAX_CELLS = 1e6
+
+
 def split_points(lo, hi, step):
     """lo, then every multiple of step strictly inside (lo, hi), then hi.
 
@@ -315,6 +320,11 @@ def split_points(lo, hi, step):
     """
     if not step > 0:
         raise DomainError("split step must be positive")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"split bounds must be finite, got ({lo}, {hi})")
+    if (hi - lo) / step > _MAX_CELLS:
+        raise DomainError(
+            f"({lo}, {hi}) cut every {step:g} gives more than {_MAX_CELLS:g} cells")
     cuts = [lo]
     k = math.floor(lo / step) + 1
     while k * step < hi:

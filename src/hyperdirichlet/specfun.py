@@ -151,20 +151,21 @@ def _connection(log_num, p, q):
 
 def _core_pos(a, b, c, w, one_minus_w, want):
     """2F1 at real w in (0,1), with one_minus_w = 1 - w passed in so that
-    it keeps its relative accuracy as w -> 1. Tries the plain series and the
-    1-w linear transformation, keeping whichever realizes the smaller
-    cancellation; a failed series keeps its value with an inf estimate."""
+    it keeps its relative accuracy as w -> 1. Tries the plain series up to
+    w = 0.7, then the 1-w linear transformation, and, when c - a - b is near
+    an integer (where the 1-w connection coefficients cancel or have a pole),
+    the plain series on toward w = 1; each is tried only while nothing is
+    certified to want, and the one with the smaller realized cancellation is
+    kept. A failed series keeps its value with an inf estimate."""
     s = c - a - b
     near_int_s = abs(s.imag) < 0.5 and abs(s.real - round(s.real)) < 0.05
-    best = None
+    best = (math.nan, math.inf)
 
-    if w <= 0.7 or near_int_s:
+    if w <= 0.7:
         val, maxpart, ok = _series_2f1(a, b, c, w, _max_terms_for(w))
         best = (val, _estimate(val, maxpart) if ok else math.inf)
-        if best[1] <= want:
-            return best
 
-    if not near_int_s and w > 0.05:
+    if w > 0.05 and not best[1] <= want:
         n = _max_terms_for(one_minus_w)
         v1, m1, ok1 = _series_2f1(a, b, 1.0 - s, one_minus_w, n)
         v2, m2, ok2 = _series_2f1(c - a, c - b, 1.0 + s, one_minus_w, n)
@@ -173,7 +174,13 @@ def _core_pos(a, b, c, w, one_minus_w, want):
         p2 = _connection(lc + scipy.special.loggamma(-s) + s * math.log(one_minus_w), a, b)
         val = p1 * v1 + p2 * v2
         est = _estimate(val, abs(p1) * m1 + abs(p2) * m2) if ok1 and ok2 else math.inf
-        if best is None or est <= best[1]:
+        if est <= best[1]:
+            best = (val, est)
+
+    if near_int_s and w > 0.7 and not best[1] <= want:
+        val, maxpart, ok = _series_2f1(a, b, c, w, _max_terms_for(w))
+        est = _estimate(val, maxpart) if ok else math.inf
+        if est <= best[1]:
             best = (val, est)
     return best
 
@@ -259,6 +266,8 @@ _PHI_TOL = 1e-11
 
 def _phi_core(rho, lam, chi):
     """Zonal spherical function Phi_lam^{(rho-1/2,-1/2)}(chi) for rho >= 1/2."""
+    if not (math.isfinite(lam) and math.isfinite(chi)):
+        raise DomainError(f"phi requires finite lam and chi, got lam = {lam}, chi = {chi}")
     if chi == 0.0:
         return 1.0
     try:
@@ -278,8 +287,8 @@ def _phi_core(rho, lam, chi):
 
 def conical_p0(mu, y):
     """Conical (Mehler) function P_{-1/2 + i mu}(y) for y >= 1."""
-    if y < 1.0:
-        raise DomainError("conical_p0 requires y >= 1")
+    if not (1.0 <= y < math.inf and math.isfinite(mu)):
+        raise DomainError("conical_p0 requires a finite mu and 1 <= y < inf")
     if y == 1.0:
         return 1.0
     return _phi_core(0.5, abs(mu), math.acosh(y))

@@ -40,8 +40,8 @@ class SpectralParams:
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise DomainError("dimension d must be an integer >= 1")
-        if not self.R > 0:
-            raise DomainError("curvature radius R must be positive")
+        if not 0 < self.R < math.inf:
+            raise DomainError("curvature radius R must be positive and finite")
         object.__setattr__(self, "rho", (self.d - 1) / 2.0)
         object.__setattr__(self, "a", self.rho - 0.5)
         object.__setattr__(self, "b", -0.5)
@@ -82,8 +82,8 @@ def _phi_array(params, lam, chi):
     dimensions map the scalar core over the points."""
     lam, chi = np.broadcast_arrays(np.atleast_1d(np.asarray(lam, float)),
                                    np.atleast_1d(np.asarray(chi, float)))
-    if (lam < 0).any() or (chi < 0).any():
-        raise DomainError("phi requires lam >= 0 and chi >= 0")
+    if not ((lam >= 0) & (lam < math.inf) & (chi >= 0) & (chi < math.inf)).all():
+        raise DomainError("phi requires finite lam >= 0 and chi >= 0")
     if params.d == 1:
         return np.cos(lam * chi)
     out = np.ones(lam.shape)

@@ -186,6 +186,30 @@ class TestErrorRecord:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == error
 
+    @pytest.mark.parametrize("argv", [
+        ["phi", "--d", "4", "--lambda", "1", "--chi", "inf"],
+        ["phi", "--d", "4", "--lambda", "nan", "--chi", "1"],
+        ["phi", "--d", "3", "--lambda", "1", "--chi", "inf"],
+        ["kernel", "--d", "3", "--M", "inf", "--chi", "1"],
+        ["kernel", "--d", "4", "--R", "inf", "--M", "1", "--chi", "1", "--method", "quadrature"],
+        ["cfunc", "--d", "4", "--lambda", "inf"],
+        ["transform", "--d", "2", "--action", "mehler-fock", "--f", "exp-decay", "--mu", "nan"],
+        ["kernel", "--d", "4", "--M", "1e300", "--chi", "1", "--method", "quadrature"],
+        ["kernel", "--d", "20", "--M", "1e300", "--chi", "1", "--method", "asymptotic"],
+        ["limits", "--mode", "density", "--d", "3", "--Rgrid", "0:1:2"],
+        ["limits", "--mode", "density", "--d", "3", "--Rgrid", "-1"],
+    ], ids=("phi-chi-inf", "phi-lambda-nan", "phi-d3-chi-inf", "kernel-M-inf",
+            "kernel-R-inf", "cfunc-lambda-inf", "mehler-fock-mu-nan",
+            "quadrature-M-1e300", "asymptotic-overflow", "density-R-zero",
+            "density-R-negative"))
+    def test_unrepresentable_input_record(self, argv, capsys):
+        # non-finite inputs, cuts without bound, overflow and R <= 0 end in a
+        # DomainError record, not a traceback, a hang or a nan on stdout
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
+
     def test_bad_grid_spec(self, capsys):
         rc = main(["phi", "--d", "3", "--lambda", "5:1:3", "--chi", "1"])
         assert rc == 1
@@ -265,3 +289,13 @@ class TestNamedFunctions:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_test_function("sawtooth", 1.0)
+
+    def test_bump_second_derivative(self):
+        # against a central difference of the declared first derivative
+        a = 1.5
+        f = make_test_function("bump", a)
+        h = 1e-6
+        for x in (0.0, 0.3, 0.75, 1.1, 1.4):
+            diff = (f.derivative(x + h) - f.derivative(x - h)) / (2.0 * h)
+            assert f.second_derivative(x) == pytest.approx(diff, rel=1e-7, abs=1e-8)
+        assert f.second_derivative(a) == 0.0

@@ -7,6 +7,7 @@ from hyperdirichlet.errors import DomainError, JetDepthError
 from hyperdirichlet.spherical import SpectralParams
 from hyperdirichlet.kernel import shannon_delta
 from hyperdirichlet.transform import RadialFunction, DecayEnvelope, partial_sum
+from hyperdirichlet.cli import make_test_function
 from hyperdirichlet.convergence import (ConvergenceReport, converge_at_origin,
                                         example_d5_boundary_audit, converge_d2,
                                         delta_limit_audit)
@@ -120,6 +121,18 @@ class TestBoundaryAudit:
         f = RadialFunction(lambda x: x, 1.0, breakpoints=(0.0, 0.5, 1.0))
         with pytest.raises(DomainError):
             example_d5_boundary_audit(f, self.pa, 10.0)
+
+    def test_needs_declared_second_derivative(self):
+        f = RadialFunction(lambda x: x * x * (1.0 - x), 1.0,
+                           derivative=lambda x: 2.0 * x - 3.0 * x * x)
+        with pytest.raises(DomainError):
+            example_d5_boundary_audit(f, self.pa, 20.0)
+
+    @pytest.mark.parametrize("M", (20.0, 50.0))
+    def test_bump_matches_partial_sum(self, M):
+        f = make_test_function("bump", 1.0)
+        audit = example_d5_boundary_audit(f, self.pa, M)
+        assert abs(audit.total - partial_sum(f, self.pa, M)) < 1e-12
 
     def test_wrong_dimension(self):
         with pytest.raises(DomainError):

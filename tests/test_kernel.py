@@ -157,6 +157,10 @@ class TestOrigin:
         with pytest.raises(DomainError):
             dirichlet_origin_odd(KernelParams(SpectralParams(4), 5.0))
 
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            dirichlet_origin_odd(KernelParams(SpectralParams(7), 1e200))
+
     def test_not_a_good_kernel(self):
         # the origin value grows like M^d: mass concentrates but the kernel
         # is not uniformly integrable (Gibbs-type growth)
@@ -190,6 +194,15 @@ class TestAsymptotic:
         for chi in (0.7, 1.9):
             assert dirichlet_asymptotic(kp, chi) == pytest.approx(
                 dirichlet_closed(kp, chi), rel=1e-12)
+
+    def test_amplitude_past_an_overflowing_factor(self):
+        # M^rho overflows on its own, the amplitude does not
+        M, chi = 1e250, 400.0
+        with mpmath.workdps(30):
+            amp = float(mpmath.mpf(2) ** -0.5 * mpmath.mpf(M) ** 1.5
+                        / (mpmath.sqrt(mpmath.pi) * chi * mpmath.sinh(chi) ** 1.5))
+        value = dirichlet_asymptotic(KernelParams(SpectralParams(4), M), chi)
+        assert value / math.sin(M * chi - 0.75 * math.pi) == pytest.approx(amp, rel=1e-12)
 
     def test_warns_below_validity(self):
         kp = KernelParams(SpectralParams(3), 5.0)

@@ -97,6 +97,13 @@ class TestOscillatory:
         assert split_points(0.3, 1.2, 0.5) == [0.3, 0.5, 1.0, 1.2]
         assert split_points(0.0, 0.4, 0.5) == [0.0, 0.4]
 
+    @pytest.mark.parametrize("hi", (1e300, math.inf))
+    def test_split_points_refuses_unbounded_cuts(self, hi):
+        # without the cell cap the loop would run about 1e300 times at 1e300,
+        # and for ever at inf
+        with pytest.raises(DomainError):
+            split_points(0.0, hi, 1.0)
+
     def test_split_sums_cells_left_to_right(self):
         f = np.exp
         cuts = [0.0, 0.5, 1.25, 2.0]

@@ -278,15 +278,36 @@ class TestMehlerFock:
         with pytest.raises(EnvelopeError):
             DecayEnvelope("power", 1.0, 0.5).truncation_point(1e-6)
 
-    def test_inverse_at_the_origin_is_the_band_sum(self):
-        # at y = 1 the inverse transform of g = mehler_fock_forward(f) over
-        # [0, M] is the partial sum converge_d2 takes, cut differently
+    def test_inverse_at_the_origin_against_bessel_k(self):
+        # at y = 1 the inverse transform over [0, M] is the partial sum
+        # converge_d2 takes; the exact transform of e^{-(y-1)} is
+        # mu tanh(pi mu) e sqrt(2/pi) K_{i mu}(1)
         from hyperdirichlet.convergence import converge_d2
         f = lambda y: math.exp(-(y - 1.0))
-        g = lambda mu: mehler_fock_forward(f, mu, EXP_ENV)
         report = converge_d2(f, [1.0, 2.0, 4.0], 1.0, 5e-2, EXP_ENV)
-        assert mehler_fock_inverse(g, 1.0, 4.0) == pytest.approx(
-            report.partial_sums[-1], abs=1e-9)
+        with mp.workdps(20):
+            ref = mp.quad(lambda mu: mu * mp.tanh(mp.pi * mu) * mp.e * mp.sqrt(2 / mp.pi)
+                          * mp.re(mp.besselk(1j * mu, 1)), [0, 1, 2, 3, 4])
+        assert abs(report.partial_sums[-1] - float(ref)) < 1e-8
+
+    def test_one_abel_profile_per_call(self, monkeypatch):
+        # a ufunc cannot be weakly referenced, so its profile is not cached:
+        # each call must still build it once, not once per node
+        from scipy.special import erfc
+        from hyperdirichlet import transform
+        from hyperdirichlet.convergence import converge_d2
+        builds = []
+        init = transform._AbelCosineProfile.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(transform._AbelCosineProfile, "__init__", counted)
+        converge_d2(erfc, [1.0, 2.0], 0.0, 5e-2, EXP_ENV)
+        assert len(builds) == 1
+        convolve_band_kernel(erfc, KernelParams(SpectralParams(2), 2.0), 1.5, EXP_ENV)
+        assert len(builds) == 2
 
     @pytest.mark.parametrize("factor", (1.5, 3.3))
     def test_cosine_moment_past_one_panel_per_cell(self, factor):
