@@ -12,7 +12,6 @@ from .errors import (
     PoleError,
     ConvergenceError,
     QuadratureError,
-    JetDepthError,
     EnvelopeError,
     GridError,
 )
@@ -27,9 +26,7 @@ from .numerics import (
     extrapolate_limit,
 )
 from .specfun import (
-    HypergeometricParams,
     gamma_modulus_sq,
-    gauss_2f1,
     conical_p0,
     bessel_j,
     spherical_bessel,

@@ -73,13 +73,17 @@ def inv_c_modulus_sq(params, lam):
         prod = 1.0
         for l in range(k):
             prod *= l * l + lam * lam
-        return math.pi * prod / (4.0 ** (2 * k - 1) * math.gamma(k + 0.5) ** 2)
-    k = d // 2
-    prod = 1.0
-    for l in range(k - 1):
-        prod *= (l + 0.5) ** 2 + lam * lam
-    return (math.pi * _lam_tanh(lam) * prod
-            / (4.0 ** (2 * (k - 1)) * math.gamma(k) ** 2))
+        value = math.pi * prod / (4.0 ** (2 * k - 1) * math.gamma(k + 0.5) ** 2)
+    else:
+        k = d // 2
+        prod = 1.0
+        for l in range(k - 1):
+            prod *= (l + 0.5) ** 2 + lam * lam
+        value = (math.pi * _lam_tanh(lam) * prod
+                 / (4.0 ** (2 * (k - 1)) * math.gamma(k) ** 2))
+    if value == math.inf:
+        raise DomainError(f"|c|^-2 overflows at d = {d}, lambda = {lam}")
+    return value
 
 
 def c_modulus_sq_closed(params, lam):
@@ -95,7 +99,10 @@ def plancherel_density(params, lam):
     if not 0 <= lam < math.inf:
         raise DomainError("plancherel_density requires a finite lam >= 0")
     pref = 2.0 ** (2.0 * params.rho) / (2.0 * math.pi * params.R ** params.d)
-    return pref * inv_c_modulus_sq(params, lam)
+    value = pref * inv_c_modulus_sq(params, lam)
+    if value == math.inf:
+        raise DomainError(f"the Plancherel density overflows at d = {params.d}, lambda = {lam}")
+    return value
 
 
 def _expand_product(constants):

@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, JetDepthError
+from .errors import DomainError
 from .numerics import extrapolate_limit, pointwise
 from .kernel import shannon_delta, _delta1
 from .transform import (DecayEnvelope, _chi_oscillatory, _index_weight, _mf_profile,
@@ -206,9 +206,11 @@ def delta_limit_audit(l, M):
     (lim delta_M^{(2l)}, lim delta_M^{(2l+1)}). From the Taylor series
     sin(Mt)/(pi t) = sum_l (-1)^l M^{2l+1} t^{2l} / ((2l+1)! pi), the even-order
     limit is (-1)^l M^{2l+1} / ((2l+1) pi) and the odd-order limit vanishes.
-    Derivative orders up to 21 (l <= 10) are supported."""
+    Raises DomainError where M^{2l+1} overflows."""
     if l < 0:
         raise DomainError("derivative order index l must be >= 0")
-    if l > 10:
-        raise JetDepthError(f"derivative order {2 * l + 1} exceeds the supported depth 21")
-    return (-1.0) ** l * M ** (2 * l + 1) / ((2 * l + 1) * math.pi), 0.0
+    try:
+        power = M ** (2 * l + 1)
+    except OverflowError:
+        raise DomainError(f"M^{2 * l + 1} overflows at M = {M}") from None
+    return (-1.0) ** l * power / ((2 * l + 1) * math.pi), 0.0

@@ -34,10 +34,6 @@ class QuadratureError(ConvergenceError):
         self.subdivisions_used = subdivisions_used
 
 
-class JetDepthError(DomainError):
-    """A Taylor-jet computation was requested beyond the supported depth."""
-
-
 class EnvelopeError(DomainError):
     """A declared decay envelope cannot bound the integral tail below tolerance."""
 

@@ -2,31 +2,30 @@
 
 The gamma-modulus identities, a Gauss 2F1 evaluator specialized to the
 conjugate-parameter/real-argument family used by zonal spherical functions,
-the conical (Mehler) function, and Bessel / spherical Bessel functions.
-Complex log-gamma is scipy.special.loggamma.
+the Harish-Chandra expansion of the spherical function, the conical (Mehler)
+function, and Bessel / spherical Bessel functions. Complex log-gamma is
+scipy.special.loggamma.
 
-The 2F1 evaluator tracks the largest partial sum it encounters and escalates
-through argument transformations when the realized cancellation would spoil
-the requested accuracy; as a last resort the spherical-function core falls
-back to a Mehler-Dirichlet integral representation, which is pure quadrature
-and free of cancellation.
+Every series tracks the largest partial sum (or the sum of term moduli) it
+meets and reports the realized cancellation as a relative estimate. The 2F1
+evaluator escalates from the plain series to the 1-w transformation, and
+near w = 1 to the plain series again, while nothing is certified; where none
+of them is, the spherical-function core takes the Harish-Chandra expansion
+in e^{-2 chi} and keeps whichever value carries the smaller estimate. No
+path runs quadrature.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import scipy.special
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .numerics import QuadratureSpec, integrate_split, pointwise, split_points
 
 __all__ = [
-    "HypergeometricParams",
     "gamma_modulus_sq",
-    "gauss_2f1",
     "conical_p0",
     "bessel_j",
     "spherical_bessel",
@@ -83,31 +82,21 @@ def gamma_modulus_sq(kind, lam, k=None):
     raise DomainError(f"unknown gamma_modulus_sq kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class HypergeometricParams:
-    p1: complex
-    p2: complex
-    p3: complex
-    argument: float
-
-    def __post_init__(self):
-        if _is_nonpositive_integer(self.p3):
-            raise DomainError("third 2F1 parameter must not be a non-positive integer")
-        if not self.argument < 1.0:
-            raise DomainError("2F1 argument must be < 1")
-
-
 def _series_2f1(a, b, c, z, max_terms):
-    """Plain power series. Returns (sum, max |partial|, converged)."""
+    """Plain power series. Returns (sum, max |partial|, converged); a sum
+    whose terms overflow, or meet a pole at c = -n, has not converged."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     maxpart = 1.0
     small_streak = 0
     for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        at = abs(term)
-        ap = abs(total)
+        try:
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+            total += term
+            at = abs(term)
+            ap = abs(total)
+        except (OverflowError, ZeroDivisionError):
+            return total, math.inf, False
         if at > maxpart:
             maxpart = at
         if ap > maxpart:
@@ -122,13 +111,7 @@ def _series_2f1(a, b, c, z, max_terms):
 
 
 def _max_terms_for(z):
-    az = abs(z)
-    if az < 0.5:
-        return 400
-    if az < 0.9:
-        return 4000
-    # Slowly convergent near-unit arguments: budget ~ digits / |log z|.
-    return min(2_000_000, int(40.0 / max(1e-7, -math.log(az))) + 1000)
+    return 400 if abs(z) < 0.5 else 4000
 
 
 def _estimate(val, spread):
@@ -154,9 +137,10 @@ def _core_pos(a, b, c, w, one_minus_w, want):
     it keeps its relative accuracy as w -> 1. Tries the plain series up to
     w = 0.7, then the 1-w linear transformation, and, when c - a - b is near
     an integer (where the 1-w connection coefficients cancel or have a pole),
-    the plain series on toward w = 1; each is tried only while nothing is
-    certified to want, and the one with the smaller realized cancellation is
-    kept. A failed series keeps its value with an inf estimate."""
+    the plain series on toward w = 1 for at most 4000 terms; each is tried
+    only while nothing is certified to want, and the one with the smaller
+    realized cancellation is kept. A failed series keeps its value with an
+    inf estimate."""
     s = c - a - b
     near_int_s = abs(s.imag) < 0.5 and abs(s.real - round(s.real)) < 0.05
     best = (math.nan, math.inf)
@@ -203,69 +187,67 @@ def _hyp2f1_ex(a, b, c, z, want=1e-12):
     return _core_pos(a, b, c, z, 1.0 - z, want)
 
 
-def gauss_2f1(params):
-    """Gauss hypergeometric function for the parameter families used here.
-
-    Accepts a HypergeometricParams record; raises ConvergenceError (carrying
-    the best value found) if 10 significant digits cannot be certified.
-    """
-    val, est = _hyp2f1_ex(params.p1, params.p2, params.p3, params.argument)
-    if not est <= 1e-9:
-        raise ConvergenceError(
-            "2F1 evaluation could not certify 10 significant digits",
-            value=val, error_estimate=est * abs(val))
-    return val
-
-
-def _mehler_dirichlet(rho, lam, chi):
-    """Spherical-function core via the Mehler-Dirichlet representation.
-
-    Phi = C(rho) sinh^{1-2rho}(chi) * I,
-    I = int_0^chi (cosh chi - cosh t)^{rho-1} cos(lam t) dt,
-    computed after the substitution t = chi - u^2 which makes the integrand
-    smooth (u^{2rho-1} times an analytic factor). Valid for rho >= 1/2.
-
-    With u2h = u^2/2, cosh chi - cosh t = 2 sinh(chi - u2h) sinh(u2h)
-    = sinh(chi - u2h) * (sinh(u2h)/u2h) * u^2.
-    """
-    if rho < 0.5:
-        raise DomainError("Mehler-Dirichlet path needs rho >= 1/2")
-    lgC = ((rho - 0.5) * math.log(2.0) + math.lgamma(rho + 0.5)
-           + 0.5 * math.log(2.0 / math.pi) - math.lgamma(rho))
-    C = math.exp(lgC)
-    p = rho - 1.0
-    two_rho_m1 = 2.0 * rho - 1.0
-
-    def integrand(u):
-        u2h = 0.5 * u * u
-        s1 = math.sinh(chi - u2h)
-        if u2h > 1e-8:
-            ratio = math.sinh(u2h) / u2h
+def _harish_chandra(rho, lam, chi):
+    """phi = 2 Re[c(lam) Phi_lam] (Helgason, Groups and Geometric Analysis,
+    ch. IV; Koornwinder 1984) with Phi_lam = e^{(i lam - rho) chi} sum_k
+    Gamma_k e^{-2k chi}, Gamma_0 = 1 and k (k - i lam) Gamma_k =
+    -rho sum_{j<k} (i lam - rho - 2j) Gamma_j (the radial Laplacian
+    d^2 + 2 rho coth(chi) d). With A = i lam c(lam), analytic at 0,
+    phi = 2 Im[A Phi]/lam, and at lam = 0 phi = 2 Im d/dlam[A Phi], so
+    dGamma_k/dlam rides the same loop. Returns (value, relative estimate):
+    the realized cancellation of the term moduli, times the size of the
+    phases whose rounding the value carries; inf where the about
+    40/chi + 100 terms do not converge."""
+    q = math.exp(-2.0 * chi)
+    il = 1j * lam
+    g, dg, s, ds = 1.0 + 0.0j, 0.0j, 0.0j, 0.0j   # Gamma_k, the running sum, d/dlam of each
+    total, dtotal, absum, dabsum, qk = g, dg, 1.0, 0.0, 1.0
+    small_streak = 0
+    for k in range(1, int(40.0 / chi) + 100):
+        mu = il - rho - 2.0 * (k - 1)
+        s, ds = s + mu * g, ds + 1j * g + mu * dg
+        g = -rho * s / (k * (k - il))
+        dg = (-rho * ds + 1j * k * g) / (k * (k - il))
+        qk *= q
+        total += g * qk
+        dtotal += dg * qk
+        absum += abs(g) * qk
+        dabsum += abs(dg) * qk
+        if max(abs(g), abs(dg)) * qk <= 1e-17 * abs(total):
+            small_streak += 1
+            if small_streak >= 2:
+                break
         else:
-            ratio = 1.0 + u2h * u2h / 6.0
-        return 2.0 * (s1 ** p) * (ratio ** p) * (u ** two_rho_m1) * math.cos(lam * (chi - u2h * 2.0))
+            small_streak = 0
+    else:
+        return math.nan, math.inf
+    lg1 = scipy.special.loggamma(1.0 + il)
+    lg2 = scipy.special.loggamma(rho + il)
+    pref = cmath.exp((2.0 * rho - 1.0) * math.log(2.0) + math.lgamma(rho + 0.5)
+                     - 0.5 * math.log(math.pi) + lg1 - lg2 + (il - rho) * chi)
+    if lam > 0.0:
+        val = 2.0 * (pref * total).imag / lam
+        spread = 2.0 * abs(pref) * absum / lam
+    else:
+        # at lam = 0 A and Phi are real, and d/dlam log(A e^{i lam chi}) is i dlog
+        dlog = scipy.special.digamma(1.0) - scipy.special.digamma(rho) + chi
+        val = 2.0 * pref.real * (dlog * total.real + dtotal.imag)
+        spread = 2.0 * pref.real * (abs(dlog) * absum + dabsum)
+    if spread == 0.0:
+        return 0.0, 0.0          # below the smallest subnormal whatever cancels
+    return val, _estimate(val, (1.0 + lam * chi + abs(lg1) + abs(lg2)) * spread)
 
-    # Split at the stationary-phase zeros of cos(lam (chi - u^2)).
-    ts = split_points(0.0, chi, math.pi / lam) if lam > 0 else [0.0, chi]
-    cuts = [math.sqrt(t) for t in ts]
-    try:
-        scale = math.sinh(chi) ** two_rho_m1 / C
-    except OverflowError:
-        raise DomainError(
-            f"Mehler-Dirichlet integral: sinh(chi)^{two_rho_m1:g} overflows at "
-            f"chi = {chi}") from None
-    spec = QuadratureSpec(abs_tol=max(1e-15, 1e-13 * scale) / (len(cuts) - 1),
-                          rel_tol=1e-13, max_subdivisions=400)
-    total = integrate_split(pointwise(integrand), cuts, spec).value
-    return C * math.sinh(chi) ** (1.0 - two_rho_m1 - 1.0) * total
 
-
-# Relative 2F1 estimate up to which phi takes the series value.
+# Relative estimate up to which phi takes the 2F1 value without trying the
+# Harish-Chandra expansion, and the largest estimate phi returns at all.
 _PHI_TOL = 1e-11
+_PHI_MAX_EST = 1e-6
 
 
 def _phi_core(rho, lam, chi):
-    """Zonal spherical function Phi_lam^{(rho-1/2,-1/2)}(chi) for rho >= 1/2."""
+    """Zonal spherical function Phi_lam^{(rho-1/2,-1/2)}(chi) for rho >= 1/2:
+    the 2F1 at -sinh^2(chi), else the Harish-Chandra value if its estimate
+    is smaller; ConvergenceError, with the value, past _PHI_MAX_EST."""
     if not (math.isfinite(lam) and math.isfinite(chi)):
         raise DomainError(f"phi requires finite lam and chi, got lam = {lam}, chi = {chi}")
     if chi == 0.0:
@@ -276,13 +258,19 @@ def _phi_core(rho, lam, chi):
         raise DomainError(
             f"-sinh^2(chi) overflows at chi = {chi}; the spherical function is "
             "evaluated for chi <= 354") from None
-    a = 0.5 * (rho + 1j * lam)
-    b = 0.5 * (rho - 1j * lam)
-    c = rho + 0.5
-    val, est = _hyp2f1_ex(a, b, c, z, _PHI_TOL)
-    if est <= _PHI_TOL and abs(val.imag) <= 1e-10 * max(1.0, abs(val.real)):
-        return val.real
-    return _mehler_dirichlet(rho, lam, chi)
+    val, est = _hyp2f1_ex(0.5 * (rho + 1j * lam), 0.5 * (rho - 1j * lam), rho + 0.5, z, _PHI_TOL)
+    if not abs(val.imag) <= 1e-10 * max(1.0, abs(val.real)):
+        est = math.inf
+    val = val.real
+    if not est <= _PHI_TOL:
+        hc_val, hc_est = _harish_chandra(rho, lam, chi)
+        if hc_est < est:
+            val, est = hc_val, hc_est
+    if not est <= _PHI_MAX_EST:
+        raise ConvergenceError(
+            f"phi: no branch certified 6 significant digits at rho = {rho}, "
+            f"lam = {lam}, chi = {chi}", value=val, error_estimate=est * abs(val))
+    return val
 
 
 def conical_p0(mu, y):

@@ -110,9 +110,10 @@ def phi(params, lam, chi):
 
     d = 1 reduces to cos(lam chi) and d = 3 to sin(lam chi)/(lam sinh chi);
     other dimensions evaluate the hypergeometric representation at
-    -sinh^2(chi), escalating through argument transformations (and, for
-    extreme lambda*chi, an integral representation) as cancellation demands;
-    they raise DomainError where -sinh^2(chi) overflows (chi > 354.9).
+    -sinh^2(chi), then where it cannot certify the Harish-Chandra expansion,
+    and keep the value with the smaller cancellation estimate; past 1e-6 they
+    raise ConvergenceError, and where -sinh^2(chi) overflows (chi > 354.9)
+    DomainError.
     """
     if lam < 0 or chi < 0:
         raise DomainError("phi requires lam >= 0 and chi >= 0")

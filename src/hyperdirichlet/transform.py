@@ -112,14 +112,17 @@ class SpectrumTable:
     @classmethod
     def from_csv(cls, text, params):
         lines = [ln for ln in text.strip().splitlines() if ln]
-        if lines[0].strip() != "lambda,fhat":
+        if not lines or lines[0].strip() != "lambda,fhat":
             raise DomainError("expected header 'lambda,fhat'")
         grid = []
         vals = []
         for ln in lines[1:]:
-            s1, s2 = ln.split(",")
-            grid.append(float(s1))
-            vals.append(float(s2))
+            try:
+                s1, s2 = ln.split(",")
+                grid.append(float(s1))
+                vals.append(float(s2))
+            except ValueError:
+                raise DomainError(f"malformed spectrum row {ln!r}") from None
         return cls(tuple(grid), tuple(vals), params)
 
 
@@ -148,6 +151,8 @@ class DecayEnvelope:
                 raise EnvelopeError("exponential envelope needs rate > 0")
             arg = self.coef / (self.rate * tol)
             return 1.0 if arg <= 1.0 else 1.0 + math.log(arg) / self.rate
+        if self.kind != "power":
+            raise DomainError(f"unknown envelope kind {self.kind!r}")
         if self.rate <= 1.0:
             raise EnvelopeError("power envelope needs exponent > 1 for an integrable tail")
         arg = self.coef / ((self.rate - 1.0) * tol)

@@ -1,8 +1,11 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperdirichlet.cli import main, make_test_function, _parse_grid
 
@@ -193,14 +196,18 @@ class TestErrorRecord:
         ["kernel", "--d", "3", "--M", "inf", "--chi", "1"],
         ["kernel", "--d", "4", "--R", "inf", "--M", "1", "--chi", "1", "--method", "quadrature"],
         ["cfunc", "--d", "4", "--lambda", "inf"],
+        ["cfunc", "--d", "4", "--lambda", "1e300"],
         ["transform", "--d", "2", "--action", "mehler-fock", "--f", "exp-decay", "--mu", "nan"],
         ["kernel", "--d", "4", "--M", "1e300", "--chi", "1", "--method", "quadrature"],
         ["kernel", "--d", "20", "--M", "1e300", "--chi", "1", "--method", "asymptotic"],
+        ["kernel", "--d", "5", "--M", "1e300", "--chi", "1", "--method", "closed"],
+        ["kernel", "--d", "9", "--M", "1e200", "--chi", "1", "--method", "recursion"],
         ["limits", "--mode", "density", "--d", "3", "--Rgrid", "0:1:2"],
         ["limits", "--mode", "density", "--d", "3", "--Rgrid", "-1"],
     ], ids=("phi-chi-inf", "phi-lambda-nan", "phi-d3-chi-inf", "kernel-M-inf",
-            "kernel-R-inf", "cfunc-lambda-inf", "mehler-fock-mu-nan",
-            "quadrature-M-1e300", "asymptotic-overflow", "density-R-zero",
+            "kernel-R-inf", "cfunc-lambda-inf", "cfunc-overflow", "mehler-fock-mu-nan",
+            "quadrature-M-1e300", "asymptotic-overflow", "closed-overflow",
+            "recursion-overflow", "density-R-zero",
             "density-R-negative"))
     def test_unrepresentable_input_record(self, argv, capsys):
         # non-finite inputs, cuts without bound, overflow and R <= 0 end in a
@@ -299,3 +306,45 @@ class TestNamedFunctions:
             diff = (f.derivative(x + h) - f.derivative(x - h)) / (2.0 * h)
             assert f.second_derivative(x) == pytest.approx(diff, rel=1e-7, abs=1e-8)
         assert f.second_derivative(a) == 0.0
+
+
+def _assert_contract(argv):
+    """The CLI error contract: exit 0 with finite numbers on stdout, or exit 1
+    with nothing on stdout and a JSON {"error", "message"} record on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    if rc == 0:
+        values = [float(tok) for line in out.getvalue().splitlines()[1:]
+                  for tok in line.split(",")]
+        assert values and all(math.isfinite(v) for v in values), (argv, values)
+        assert err.getvalue() == ""
+    else:
+        assert rc == 1 and out.getvalue() == ""
+        assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+
+# derandomized and at most 50 examples each, so the suite stays fast and
+# every run draws the same cases
+_FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
+
+
+class TestErrorContractProperties:
+    @_FUZZ
+    @given(d=st.integers(2, 20), lam=st.floats(0.0, 1e3), chi=st.floats(0.0, 10.0))
+    def test_phi(self, d, lam, chi):
+        _assert_contract(["phi", "--d", str(d), "--lambda", repr(lam), "--chi", repr(chi)])
+
+    @_FUZZ
+    @given(d=st.integers(1, 20), lam=st.floats(0.0, 1e300))
+    def test_cfunc(self, d, lam):
+        _assert_contract(["cfunc", "--d", str(d), "--lambda", repr(lam)])
+
+    @_FUZZ
+    @given(method=st.sampled_from(["closed", "recursion"]),
+           d=st.sampled_from(range(1, 22, 2)),
+           M=st.floats(0.0, 1e300, exclude_min=True),
+           chi=st.floats(0.0, 10.0, exclude_min=True))
+    def test_kernel(self, method, d, M, chi):
+        _assert_contract(["kernel", "--d", str(d), "--M", repr(M), "--chi", repr(chi),
+                          "--method", method])

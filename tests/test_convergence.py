@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hyperdirichlet.errors import DomainError, JetDepthError
+from hyperdirichlet.errors import DomainError
 from hyperdirichlet.spherical import SpectralParams
 from hyperdirichlet.kernel import shannon_delta
 from hyperdirichlet.transform import RadialFunction, DecayEnvelope, partial_sum
@@ -188,8 +188,10 @@ class TestDeltaLimitAudit:
         assert delta_limit_audit(0, 0.0) == (0.0, 0.0)
 
     def test_depth_limit(self):
-        with pytest.raises(JetDepthError):
-            delta_limit_audit(13, 1.0)
+        # a closed form: no limit on the depth l, only on the size of M^{2l+1}
+        assert delta_limit_audit(13, 1.0) == (-1.0 / (27.0 * math.pi), 0.0)
+        with pytest.raises(DomainError):
+            delta_limit_audit(10, 1e30)
 
     def test_negative_order(self):
         with pytest.raises(DomainError):

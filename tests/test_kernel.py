@@ -244,6 +244,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             dirichlet_closed(kp, 1.0)
 
+    def test_recursion_depth_limit(self):
+        # 1.1e-8 off mpmath at d = 47 (M = 3, chi = 1.5), 4.7e-2 at d = 81
+        with pytest.raises(DomainError):
+            dirichlet_recursion(KernelParams(SpectralParams(47), 3.0), 1.5)
+
     def test_d2_past_the_overflow_of_sinh_squared(self):
         kp = KernelParams(SpectralParams(2), 5.0)
         with pytest.raises(DomainError):

@@ -6,10 +6,8 @@ import mpmath as mp
 import pytest
 
 from hyperdirichlet.errors import ConvergenceError, DomainError, PoleError
-from hyperdirichlet.specfun import (HypergeometricParams, bessel_j,
-                                    conical_p0, gauss_2f1,
-                                    gamma_modulus_sq, spherical_bessel,
-                                    _hyp2f1_ex, _mehler_dirichlet)
+from hyperdirichlet.specfun import (bessel_j, conical_p0, gamma_modulus_sq,
+                                    spherical_bessel, _harish_chandra, _hyp2f1_ex)
 from hyperdirichlet.spherical import SpectralParams, phi
 
 
@@ -50,15 +48,16 @@ class TestGauss2F1:
     def test_elementary_closed_form(self):
         # F((1+i lam)/2, (1-i lam)/2; 3/2; -sinh^2 chi) = sin(lam chi)/(lam sinh chi)
         lam, chi = 1.0, 1.0
-        params = HypergeometricParams(0.5 * (1 + 1j * lam), 0.5 * (1 - 1j * lam),
-                                      1.5, -math.sinh(chi) ** 2)
-        val = gauss_2f1(params)
+        val, est = _hyp2f1_ex(0.5 * (1 + 1j * lam), 0.5 * (1 - 1j * lam),
+                              1.5, -math.sinh(chi) ** 2)
+        assert est <= 1e-9
         assert val.real == pytest.approx(math.sin(lam * chi) / (lam * math.sinh(chi)), rel=1e-12)
         assert abs(val.imag) < 1e-13
 
     def test_log_closed_form(self):
         # F(1, 1; 2; z) = -log(1-z)/z
-        val = gauss_2f1(HypergeometricParams(1.0, 1.0, 2.0, 0.6))
+        val, est = _hyp2f1_ex(1.0, 1.0, 2.0, 0.6)
+        assert est <= 1e-9
         assert val.real == pytest.approx(-math.log(0.4) / 0.6, rel=1e-13)
 
     def test_against_mpmath_grid(self):
@@ -85,17 +84,17 @@ class TestGauss2F1:
         # coefficient of the 1-w transformation, whose log-gamma is NaN there
         for a, b, c, z in ((-1.0, 0.3, 2.0, 0.9), (-2.0, 0.3, 2.5, 0.95),
                            (0.3, -3.0, 1.7, 0.99)):
-            val = gauss_2f1(HypergeometricParams(a, b, c, z))
+            val, est = _hyp2f1_ex(a, b, c, z)
             ref = complex(mp.hyp2f1(a, b, c, z))
+            assert est <= 1e-9
             assert abs(val - ref) <= 1e-12 * abs(ref)
 
-    def test_invalid_third_parameter(self):
-        with pytest.raises(DomainError):
-            HypergeometricParams(1.0, 1.0, 0.0, 0.5)
 
-    def test_argument_domain(self):
-        with pytest.raises(DomainError):
-            HypergeometricParams(1.0, 1.0, 2.0, 1.5)
+    def test_no_certificate_past_the_term_budget(self):
+        # c - a - b = -2: the 1-w series with third parameter 1 + s meets its
+        # pole, and the plain series needs about 400,000 terms, past 4000
+        val, est = _hyp2f1_ex(1.5, 1.5, 1.0, 0.9999)
+        assert est == math.inf
 
 
 class TestConical:
@@ -120,25 +119,50 @@ class TestConical:
 
 def phi_mpmath(d, lam, chi):
     rho = 0.5 * (d - 1)
-    with mp.workdps(30):
+    with mp.workdps(40):
         return float(mp.re(mp.hyp2f1(0.5 * (rho + 1j * lam), 0.5 * (rho - 1j * lam),
                                      rho + 0.5, -mp.sinh(chi) ** 2)))
 
 
-class TestMehlerDirichlet:
-    # The public phi reaches this path only where the 2F1 cancellation
-    # estimate gives up, so it is checked directly.
-    def test_against_mpmath(self):
-        for d in (2, 4, 5, 6, 7, 8, 10, 16):
-            for lam in (0.5, 7.0, 38.86, 100.0, 225.0):
-                for chi in (0.0578, 0.217, 0.5, 1.0, 3.0):
-                    ref = phi_mpmath(d, lam, chi)
-                    got = _mehler_dirichlet(0.5 * (d - 1), lam, chi)
-                    assert got == pytest.approx(ref, rel=1e-10, abs=1e-14)
+class TestHarishChandra:
+    # The public phi reaches this branch only where the 2F1 does not
+    # certify, so it is checked directly, with its own estimate: where that
+    # estimate is large (small chi against rho/lam) the value may be wrong,
+    # but by no more than ten times the absolute error it states.
+    @pytest.mark.parametrize("d", (2, 4, 7, 20))
+    def test_against_mpmath(self, d):
+        rho = 0.5 * (d - 1)
+        for lam in (0.0, 1e-6, 0.3, 200.0, 1000.0):
+            for chi in (0.05, 1.0, 3.0, 10.0):
+                ref = phi_mpmath(d, lam, chi)
+                val, est = _harish_chandra(rho, lam, chi)
+                assert abs(val - ref) <= max(1e-9 * abs(ref), 10.0 * est * abs(val))
+                if chi >= 1.0:
+                    assert abs(val - ref) <= 1e-9 * abs(ref)
 
-    def test_phi_where_the_fallback_fires(self):
+    def test_large_lambda_small_chi(self):
+        # about 80,000 terms, within the 40/chi budget; the rounding of
+        # log Gamma(1 + 1e5 i), of size 1.2e6, sets the estimate
+        val, est = _harish_chandra(1.5, 1e5, 5e-4)
+        assert est <= 1e-8
+        assert val == pytest.approx(phi_mpmath(4, 1e5, 5e-4), rel=1e-9, abs=0.0)
+        assert phi(SpectralParams(4), 1e5, 5e-4) == val
+
+    def test_phi_at_a_former_fallback_point(self):
         assert phi(SpectralParams(6), 38.8615, 0.216953) == pytest.approx(
-            phi_mpmath(6, 38.8615, 0.216953), rel=1e-10, abs=1e-14)
+            phi_mpmath(6, 38.8615, 0.216953), rel=1e-10, abs=0.0)
+
+    def test_phi_far_out(self):
+        # phi is 5.6e-193 at (4, 0, 300); at (20, 1, 300) it is 7e-1233,
+        # below the smallest subnormal
+        assert phi(SpectralParams(4), 0.0, 300.0) == pytest.approx(
+            phi_mpmath(4, 0.0, 300.0), rel=1e-9, abs=0.0)
+        assert phi(SpectralParams(20), 1.0, 300.0) == 0.0
+
+    def test_phi_where_the_plain_series_overflows(self):
+        # the terms of the plain 2F1 series overflow abs() here
+        assert phi(SpectralParams(4), 1000.0, 0.9) == pytest.approx(
+            phi_mpmath(4, 1000.0, 0.9), rel=1e-9, abs=0.0)
 
 
 class TestBessel:

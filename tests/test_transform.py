@@ -146,6 +146,12 @@ class TestSpectrumTable:
         with pytest.raises(DomainError):
             SpectrumTable.from_csv("x,y\n1,2\n", SpectralParams(3))
 
+    @pytest.mark.parametrize("text", ["", "lambda,fhat\n1,2,3\n", "lambda,fhat\n1,x\n"],
+                             ids=("empty", "three-columns", "not-a-number"))
+    def test_malformed_text(self, text):
+        with pytest.raises(DomainError):
+            SpectrumTable.from_csv(text, SpectralParams(3))
+
     def test_validation(self):
         pa = SpectralParams(3)
         with pytest.raises(DomainError):
@@ -273,6 +279,10 @@ class TestMehlerFock:
         f = lambda y: 10.0 * math.exp(-0.1 * (y - 1.0))
         with pytest.raises(EnvelopeError):
             mehler_fock_forward(f, 1.0, EXP_ENV)
+
+    def test_unknown_envelope_kind(self):
+        with pytest.raises(DomainError):
+            DecayEnvelope("gaussian", 1.0, 2.0).truncation_point(1e-6)
 
     def test_power_envelope_needs_integrable_tail(self):
         with pytest.raises(EnvelopeError):
