@@ -38,14 +38,26 @@ class PlancherelPoly:
     coefficients: tuple
 
 
+# Largest |lam| at which the gamma form is evaluated. Against 60-digit mpmath
+# over d in {3, 4, 7, 20} its drift was at most 5.7e-11 relative up to
+# lam = 5e4, and first reached the 1e-10 of c_modulus_sq_closed at 8.5e4.
+_GAMMA_FORM_MAX_LAM = 5e4
+
+
 def c_modulus_sq_gamma(params, lam):
     """|c(lam, rho)|^2 from the gamma-quotient definition
-    c = 2^{2 rho - 1} Gamma(i lam) Gamma(rho + 1/2) / (sqrt(pi) Gamma(rho + i lam))."""
+    c = 2^{2 rho - 1} Gamma(i lam) Gamma(rho + 1/2) / (sqrt(pi) Gamma(rho + i lam)),
+    for |lam| <= 5e4 where d > 1."""
     if lam == 0.0:
         raise PoleError("c-function gamma form has a pole at lam = 0")
     rho = params.rho
     if rho == 0.0:
         return 0.25
+    if not abs(lam) <= _GAMMA_FORM_MAX_LAM:
+        raise DomainError(
+            f"the gamma form of |c|^2 is limited to |lambda| <= {_GAMMA_FORM_MAX_LAM:g}, "
+            f"got {lam}: two log-gamma real parts of size lambda log lambda cancel "
+            "(use c_modulus_sq_closed)")
     lg = ((2.0 * rho - 1.0) * math.log(2.0)
           + loggamma(1j * lam).real
           + math.lgamma(rho + 0.5)
@@ -98,7 +110,7 @@ def plancherel_density(params, lam):
     """Spectral weight (2^{2 rho} / (2 pi R^d)) |c(lam, rho)|^{-2}."""
     if not 0 <= lam < math.inf:
         raise DomainError("plancherel_density requires a finite lam >= 0")
-    pref = 2.0 ** (2.0 * params.rho) / (2.0 * math.pi * params.R ** params.d)
+    pref = 2.0 ** (2.0 * params.rho) / (2.0 * math.pi * params.Rd)
     value = pref * inv_c_modulus_sq(params, lam)
     if value == math.inf:
         raise DomainError(f"the Plancherel density overflows at d = {params.d}, lambda = {lam}")
@@ -168,7 +180,11 @@ def density_euclid_limit(params, p_norm, R_values):
         if not 0 < R < math.inf:
             raise DomainError(f"density_euclid_limit requires 0 < R < inf, got R = {R}")
         pa = SpectralParams(params.d, 1.0)
-        out.append(inv_c_modulus_sq(pa, p_norm * R) * float(R) ** (1 - params.d))
+        try:
+            scale = float(R) ** (1 - params.d)
+        except OverflowError:
+            raise DomainError(f"R^(1-d) overflows at d = {params.d}, R = {R}") from None
+        out.append(inv_c_modulus_sq(pa, p_norm * R) * scale)
     return out
 
 

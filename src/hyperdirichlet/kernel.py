@@ -15,7 +15,6 @@ from .errors import DomainError
 from .numerics import QuadratureSpec, integrate_split, pointwise, split_points
 from .cfunction import plancherel_density, poly_coefficients
 from .spherical import _HYPERBOLIC_MAX, SpectralParams, _phi_array, _sinh_cosh, _unscale
-from .specfun import _phi_core
 
 __all__ = [
     "KernelParams",
@@ -45,16 +44,12 @@ class KernelParams:
 
 def _band_integral(pa, M, chi):
     """The Plancherel band integral int_0^M phi_lam(chi) density(lam) dlam at
-    chi >= 0, cut at the pi/chi spacing of the cos(lam chi) oscillation.
-    d = 1 and d = 3 take phi's array closed form; other dimensions map the
-    scalar core and the density over the nodes together."""
-    if pa.d in (1, 3):
-        density = pointwise(lambda lam: plancherel_density(pa, lam))
+    chi >= 0, cut at the pi/chi spacing of the cos(lam chi) oscillation."""
+    density = pointwise(lambda lam: plancherel_density(pa, lam))
 
-        def f(lam):
-            return _phi_array(pa, lam, chi) * density(lam)
-    else:
-        f = pointwise(lambda lam: _phi_core(pa.rho, lam, chi) * plancherel_density(pa, lam))
+    def f(lam):
+        return _phi_array(pa, lam, chi) * density(lam)
+
     cuts = split_points(0.0, M, math.pi / chi) if chi > 0 else [0.0, M]
     spec = QuadratureSpec(abs_tol=1e-9 / (len(cuts) - 1), rel_tol=1e-11,
                           max_subdivisions=600)
@@ -188,11 +183,11 @@ def dirichlet_closed(kp, chi):
         return 2.0 * shannon_delta(M, chi) / R
     if d == 3:
         s, _, big = _sinh_cosh(chi, _HYPERBOLIC_MAX)
-        return _unscale(-2.0 * _delta1(M, chi) / (R ** 3 * s), chi, big, 1)
+        return _unscale(-2.0 * _delta1(M, chi) / (kp.spectral.Rd * s), chi, big, 1)
     if d == 5:
         s, c, big = _sinh_cosh(chi, _HYPERBOLIC_MAX / 3.0)
-        value = (2.0 / (3.0 * R ** 5)) * (_delta2(M, chi) / (s * s)
-                                          - c * _delta1(M, chi) / _power(s, 3))
+        value = (2.0 / (3.0 * kp.spectral.Rd)) * (_delta2(M, chi) / (s * s)
+                                                  - c * _delta1(M, chi) / _power(s, 3))
         return _unscale(value, chi, big, 2)
     raise DomainError(
         "closed form available for d in {1,3,5}; use dirichlet_quadrature or dirichlet_recursion")
@@ -315,7 +310,7 @@ def _odd_recursion(kp, chi):
     dfact = 1.0
     for j in range(1, k + 1):
         dfact *= 2 * j - 1
-    pref = 2.0 * (-1.0) ** k / (dfact * kp.spectral.R ** (2 * k + 1))
+    pref = 2.0 * (-1.0) ** k / (dfact * kp.spectral.Rd)
     return pref * value
 
 
@@ -384,5 +379,5 @@ def dirichlet_origin_odd(kp):
     except OverflowError:
         raise DomainError(f"the origin value overflows at d = {d}, M = {M}") from None
     pref = (math.gamma(k) ** 2
-            / (2.0 ** (2.0 * rho - 1.0) * math.gamma(rho + 0.5) ** 2 * R ** d))
+            / (2.0 ** (2.0 * rho - 1.0) * math.gamma(rho + 0.5) ** 2 * kp.spectral.Rd))
     return pref * total

@@ -1,18 +1,16 @@
 """Special-function primitives.
 
-The gamma-modulus identities, a Gauss 2F1 evaluator specialized to the
-conjugate-parameter/real-argument family used by zonal spherical functions,
-the Harish-Chandra expansion of the spherical function, the conical (Mehler)
-function, and Bessel / spherical Bessel functions. Complex log-gamma is
-scipy.special.loggamma.
+The gamma-modulus identities, the zonal spherical function from its two
+convergent series, the conical (Mehler) function, and Bessel / spherical
+Bessel functions. Complex log-gamma is scipy.special.loggamma.
 
-Every series tracks the largest partial sum (or the sum of term moduli) it
-meets and reports the realized cancellation as a relative estimate. The 2F1
-evaluator escalates from the plain series to the 1-w transformation, and
-near w = 1 to the plain series again, while nothing is certified; where none
-of them is, the spherical-function core takes the Harish-Chandra expansion
-in e^{-2 chi} and keeps whichever value carries the smaller estimate. No
-path runs quadrature.
+The spherical function is summed from its hypergeometric series about
+chi = 0, a plain 2F1 series in w = tanh^2 chi, or from its Harish-Chandra
+series about chi = infinity, in e^{-2 chi}. Each tracks the largest partial
+sum (or the sum of term moduli) it meets and reports the realized
+cancellation as a relative estimate. The nearer series is tried first, the
+other only where the first does not certify, and the value with the smaller
+estimate is kept. No path runs quadrature.
 """
 
 from __future__ import annotations
@@ -30,11 +28,6 @@ __all__ = [
     "bessel_j",
     "spherical_bessel",
 ]
-
-def _is_nonpositive_integer(z):
-    zc = complex(z)
-    return abs(zc.imag) < 1e-14 and zc.real <= 0.5 and abs(zc.real - round(zc.real)) < 1e-14
-
 
 def _lam_over_sinh(x):
     """x / sinh(x), continuous through x = 0."""
@@ -84,7 +77,7 @@ def gamma_modulus_sq(kind, lam, k=None):
 
 def _series_2f1(a, b, c, z, max_terms):
     """Plain power series. Returns (sum, max |partial|, converged); a sum
-    whose terms overflow, or meet a pole at c = -n, has not converged."""
+    whose terms overflow has not converged."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     maxpart = 1.0
@@ -95,7 +88,7 @@ def _series_2f1(a, b, c, z, max_terms):
             total += term
             at = abs(term)
             ap = abs(total)
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             return total, math.inf, False
         if at > maxpart:
             maxpart = at
@@ -123,68 +116,9 @@ def _estimate(val, spread):
     return spread * 5e-16 / abs(val)
 
 
-def _connection(log_num, p, q):
-    """exp(log_num - log Gamma(p) - log Gamma(q)) in one exponential, so no
-    gamma factor can underflow or overflow on its own; exactly 0 at a pole of
-    Gamma(p) or Gamma(q)."""
-    if _is_nonpositive_integer(p) or _is_nonpositive_integer(q):
-        return 0.0
-    return cmath.exp(log_num - scipy.special.loggamma(p) - scipy.special.loggamma(q))
-
-
-def _core_pos(a, b, c, w, one_minus_w, want):
-    """2F1 at real w in (0,1), with one_minus_w = 1 - w passed in so that
-    it keeps its relative accuracy as w -> 1. Tries the plain series up to
-    w = 0.7, then the 1-w linear transformation, and, when c - a - b is near
-    an integer (where the 1-w connection coefficients cancel or have a pole),
-    the plain series on toward w = 1 for at most 4000 terms; each is tried
-    only while nothing is certified to want, and the one with the smaller
-    realized cancellation is kept. A failed series keeps its value with an
-    inf estimate."""
-    s = c - a - b
-    near_int_s = abs(s.imag) < 0.5 and abs(s.real - round(s.real)) < 0.05
-    best = (math.nan, math.inf)
-
-    if w <= 0.7:
-        val, maxpart, ok = _series_2f1(a, b, c, w, _max_terms_for(w))
-        best = (val, _estimate(val, maxpart) if ok else math.inf)
-
-    if w > 0.05 and not best[1] <= want:
-        n = _max_terms_for(one_minus_w)
-        v1, m1, ok1 = _series_2f1(a, b, 1.0 - s, one_minus_w, n)
-        v2, m2, ok2 = _series_2f1(c - a, c - b, 1.0 + s, one_minus_w, n)
-        lc = scipy.special.loggamma(c)
-        p1 = _connection(lc + scipy.special.loggamma(s), c - a, c - b)
-        p2 = _connection(lc + scipy.special.loggamma(-s) + s * math.log(one_minus_w), a, b)
-        val = p1 * v1 + p2 * v2
-        est = _estimate(val, abs(p1) * m1 + abs(p2) * m2) if ok1 and ok2 else math.inf
-        if est <= best[1]:
-            best = (val, est)
-
-    if near_int_s and w > 0.7 and not best[1] <= want:
-        val, maxpart, ok = _series_2f1(a, b, c, w, _max_terms_for(w))
-        est = _estimate(val, maxpart) if ok else math.inf
-        if est <= best[1]:
-            best = (val, est)
-    return best
-
-
-def _hyp2f1_ex(a, b, c, z, want=1e-12):
-    """2F1 with a realized-cancellation estimate: returns (value, rel_est)."""
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    z = float(z)
-    if z == 0.0:
-        return 1.0 + 0.0j, 0.0
-    if z < 0.0:
-        # Pfaff transformation onto (0, 1); the prefactor is real. There
-        # 1 - w = 1/(1 - z), which for z = -sinh^2 chi is sech^2 chi, exact
-        # to rounding where 1 - tanh^2 chi would cancel.
-        val, est = _core_pos(a, c - b, c, z / (z - 1.0), 1.0 / (1.0 - z), want)
-        pref = cmath.exp(-a * math.log(1.0 - z))
-        return pref * val, est
-    return _core_pos(a, b, c, z, 1.0 - z, want)
+# Cap on the Harish-Chandra budget of about 40/chi terms, which would grow
+# without bound as chi -> 0 at about 0.6 us a term.
+_HC_MAX_TERMS = 100_000
 
 
 def _harish_chandra(rho, lam, chi):
@@ -197,13 +131,13 @@ def _harish_chandra(rho, lam, chi):
     dGamma_k/dlam rides the same loop. Returns (value, relative estimate):
     the realized cancellation of the term moduli, times the size of the
     phases whose rounding the value carries; inf where the about
-    40/chi + 100 terms do not converge."""
+    40/chi + 100 terms, at most _HC_MAX_TERMS + 100, do not converge."""
     q = math.exp(-2.0 * chi)
     il = 1j * lam
     g, dg, s, ds = 1.0 + 0.0j, 0.0j, 0.0j, 0.0j   # Gamma_k, the running sum, d/dlam of each
     total, dtotal, absum, dabsum, qk = g, dg, 1.0, 0.0, 1.0
     small_streak = 0
-    for k in range(1, int(40.0 / chi) + 100):
+    for k in range(1, int(min(40.0 / chi, _HC_MAX_TERMS)) + 100):
         mu = il - rho - 2.0 * (k - 1)
         s, ds = s + mu * g, ds + 1j * g + mu * dg
         g = -rho * s / (k * (k - il))
@@ -238,37 +172,58 @@ def _harish_chandra(rho, lam, chi):
     return val, _estimate(val, (1.0 + lam * chi + abs(lg1) + abs(lg2)) * spread)
 
 
-# Relative estimate up to which phi takes the 2F1 value without trying the
-# Harish-Chandra expansion, and the largest estimate phi returns at all.
+def _hypergeometric(rho, lam, chi):
+    """phi = F(a, conj a; rho + 1/2; -sinh^2 chi), a = (rho + i lam)/2, by the
+    plain series after the Pfaff step onto w = tanh^2 chi:
+    F = cosh^{-2a} chi F(a, rho + 1/2 - conj a; rho + 1/2; w), with
+    1 - z = cosh^2 chi exact to rounding. Returns (value, relative estimate);
+    inf where the series does not converge, its value is not real, or
+    -sinh^2 chi overflows (chi > 354.9)."""
+    try:
+        z = -math.sinh(chi) ** 2
+    except OverflowError:
+        return math.nan, math.inf
+    a = 0.5 * (rho + 1j * lam)
+    c = rho + 0.5
+    w = z / (z - 1.0)
+    val, maxpart, ok = _series_2f1(a, c - 0.5 * (rho - 1j * lam), c, w, _max_terms_for(w))
+    est = _estimate(val, maxpart) if ok else math.inf
+    val = cmath.exp(-a * math.log(1.0 - z)) * val
+    if not abs(val.imag) <= 1e-10 * max(1.0, abs(val.real)):
+        est = math.inf
+    return val.real, est
+
+
+# Relative estimate up to which phi takes the value of the first series
+# without trying the other, and the largest estimate phi returns at all.
 _PHI_TOL = 1e-11
 _PHI_MAX_EST = 1e-6
+# w = tanh^2 chi up to which the series about chi = 0 is tried first.
+_W_NEAR_ORIGIN = 0.7
 
 
 def _phi_core(rho, lam, chi):
-    """Zonal spherical function Phi_lam^{(rho-1/2,-1/2)}(chi) for rho >= 1/2:
-    the 2F1 at -sinh^2(chi), else the Harish-Chandra value if its estimate
-    is smaller; ConvergenceError, with the value, past _PHI_MAX_EST."""
+    """Zonal spherical function Phi_lam^{(rho-1/2,-1/2)}(chi) for rho >= 1/2,
+    from its two convergent series: the 2F1 about chi = 0 first where
+    tanh^2 chi <= 0.7, the Harish-Chandra series about chi = infinity first
+    elsewhere. The other is tried only when the first does not certify
+    _PHI_TOL, and the value with the smaller estimate is kept;
+    ConvergenceError, with the value, past _PHI_MAX_EST."""
     if not (math.isfinite(lam) and math.isfinite(chi)):
         raise DomainError(f"phi requires finite lam and chi, got lam = {lam}, chi = {chi}")
     if chi == 0.0:
         return 1.0
-    try:
-        z = -math.sinh(chi) ** 2
-    except OverflowError:
-        raise DomainError(
-            f"-sinh^2(chi) overflows at chi = {chi}; the spherical function is "
-            "evaluated for chi <= 354") from None
-    val, est = _hyp2f1_ex(0.5 * (rho + 1j * lam), 0.5 * (rho - 1j * lam), rho + 0.5, z, _PHI_TOL)
-    if not abs(val.imag) <= 1e-10 * max(1.0, abs(val.real)):
-        est = math.inf
-    val = val.real
+    first, second = _hypergeometric, _harish_chandra
+    if math.tanh(chi) ** 2 > _W_NEAR_ORIGIN:
+        first, second = second, first
+    val, est = first(rho, lam, chi)
     if not est <= _PHI_TOL:
-        hc_val, hc_est = _harish_chandra(rho, lam, chi)
-        if hc_est < est:
-            val, est = hc_val, hc_est
+        other_val, other_est = second(rho, lam, chi)
+        if other_est < est:
+            val, est = other_val, other_est
     if not est <= _PHI_MAX_EST:
         raise ConvergenceError(
-            f"phi: no branch certified 6 significant digits at rho = {rho}, "
+            f"phi: no series certified 6 significant digits at rho = {rho}, "
             f"lam = {lam}, chi = {chi}", value=val, error_estimate=est * abs(val))
     return val
 

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .numerics import QuadratureSpec, integrate, pointwise
-from .specfun import _hyp2f1_ex, _phi_core, spherical_bessel
+from .errors import DomainError
+from .numerics import QuadratureSpec, integrate, integrate_split, pointwise
+from .specfun import _phi_core, spherical_bessel
 
 __all__ = [
     "SpectralParams",
@@ -45,6 +45,20 @@ class SpectralParams:
         object.__setattr__(self, "rho", (self.d - 1) / 2.0)
         object.__setattr__(self, "a", self.rho - 0.5)
         object.__setattr__(self, "b", -0.5)
+
+    @cached_property
+    def Rd(self):
+        """R^d, the scale of the transform pair, the density and the kernels.
+        DomainError where it overflows or underflows to 0; phi does not read
+        R and takes any finite R."""
+        try:
+            value = self.R ** self.d
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"R^d {'underflows to 0' if value == 0.0 else 'overflows'} "
+                              f"at d = {self.d}, R = {self.R}")
+        return value
 
 
 # math.sinh and math.cosh overflow just past chi = 710.47. Past a limit at
@@ -108,12 +122,12 @@ def _phi_array(params, lam, chi):
 def phi(params, lam, chi):
     """Zonal spherical function Phi_lam(chi), normalized to Phi_lam(0) = 1.
 
-    d = 1 reduces to cos(lam chi) and d = 3 to sin(lam chi)/(lam sinh chi);
-    other dimensions evaluate the hypergeometric representation at
-    -sinh^2(chi), then where it cannot certify the Harish-Chandra expansion,
-    and keep the value with the smaller cancellation estimate; past 1e-6 they
-    raise ConvergenceError, and where -sinh^2(chi) overflows (chi > 354.9)
-    DomainError.
+    d = 1 reduces to cos(lam chi) and d = 3 to sin(lam chi)/(lam sinh chi).
+    Other dimensions sum the nearer of phi's two convergent series, the
+    hypergeometric series about chi = 0 (where tanh^2 chi <= 0.7) or the
+    Harish-Chandra series about chi = infinity, and the other only where the
+    first cannot certify; the value with the smaller cancellation estimate is
+    kept, and past 1e-6 they raise ConvergenceError.
     """
     if lam < 0 or chi < 0:
         raise DomainError("phi requires lam >= 0 and chi >= 0")
@@ -125,29 +139,34 @@ def phi(params, lam, chi):
 
 
 def phi_legendre(params, lam, chi):
-    """Second realization of phi through the associated Legendre function
-    P^{-(rho-1/2)}_{-1/2+i lam}(cosh chi), evaluated by the half-argument
-    hypergeometric representation. Numerically independent of phi. Raises
-    ConvergenceError, carrying the value, where the 2F1 cannot certify 10
-    significant digits."""
+    """Second realization of phi (d >= 2) through the associated Legendre
+    function P^{-(rho-1/2)}_{-1/2+i lam}(cosh chi), evaluated by its
+    Mehler-Dirichlet integral (DLMF 14.12.4):
+    phi = C_rho sinh^{1-2 rho} chi int_0^chi cos(lam t) (cosh chi - cosh t)^{rho-1} dt,
+    C_rho = 2^{rho-1/2} Gamma(rho+1/2) sqrt(2/pi) / Gamma(rho). With
+    t = chi - u^2 the integrand has no endpoint singularity, and
+    cosh chi - cosh t = 2 sinh(chi - u^2/2) sinh(u^2/2) does not cancel. It
+    is cut where cos(lam t) changes sign. Shares no series with phi."""
+    if params.d < 2:
+        raise DomainError("phi_legendre needs d >= 2")
     if chi <= 0:
         raise DomainError("phi_legendre requires chi > 0 (use phi at 0)")
-    mu = params.rho - 0.5
-    x = math.cosh(chi)
-    # P^{-mu}_nu(x) = ((x-1)/(x+1))^{mu/2} F(nu+1, -nu; 1+mu; (1-x)/2) / Gamma(1+mu)
-    nu = -0.5 + 1j * lam
-    zz = 0.5 * (1.0 - x)
-    val, est = _hyp2f1_ex(nu + 1.0, -nu, 1.0 + mu, zz)
-    half = 0.5 * mu * (math.log(x - 1.0) - math.log(x + 1.0))
-    legendre = cmath.exp(half - math.lgamma(1.0 + mu)) * val
-    pref = math.exp((params.rho - 0.5) * math.log(2.0) + math.lgamma(params.rho + 0.5)
-                    - (params.rho - 0.5) * math.log(math.sinh(chi)))
-    value = (pref * legendre).real
-    if not est <= 1e-9:
-        raise ConvergenceError(
-            f"phi_legendre: the 2F1 could not certify 10 significant digits at "
-            f"lam = {lam}, chi = {chi}", value=value, error_estimate=est * abs(value))
-    return value
+    rho = params.rho
+    pref = math.exp((rho - 0.5) * math.log(2.0) + math.lgamma(rho + 0.5)
+                    + 0.5 * math.log(2.0 / math.pi) - math.lgamma(rho)
+                    + (1.0 - 2.0 * rho) * math.log(math.sinh(chi)))
+
+    def f(u):
+        v = u * u
+        base = 2.0 * np.sinh(chi - 0.5 * v) * np.sinh(0.5 * v)
+        return 2.0 * u * np.cos(lam * (chi - v)) * base ** (rho - 1.0)
+
+    # the sign changes of cos(lam t) at t = (k + 1/2) pi / lam < chi
+    n = math.floor(lam * chi / math.pi + 0.5) if lam > 0 else 0
+    zeros = [chi - (k + 0.5) * math.pi / lam for k in range(n - 1, -1, -1)]
+    cuts = [0.0] + [math.sqrt(v) for v in zeros if v > 0.0] + [math.sqrt(chi)]
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=200)
+    return pref * integrate_split(f, cuts, spec).value
 
 
 def phi_angular_oracle(params, lam, chi):

@@ -182,7 +182,7 @@ def fh_forward(f, params, lam):
     """Forward Fourier-Helgason transform of a compactly supported radial
     profile: R^d int_0^a f(chi) Phi_lam(chi) sinh^{d-1}(chi) dchi."""
     d = params.d
-    Rd = params.R ** d
+    Rd = params.Rd
     profile = pointwise(f.profile)
 
     def g(chi):
@@ -300,8 +300,8 @@ def spectrum_table(f, params, lambda_grid):
     direct quadrature."""
     lambda_grid = tuple(float(x) for x in lambda_grid)
     if params.d == 2:
+        Rd = params.Rd
         prof = _radial_abel_profile(f)
-        Rd = params.R ** 2
         vals = [Rd * prof.cosine_moment(lam) for lam in lambda_grid]
     else:
         vals = [fh_forward(f, params, lam) for lam in lambda_grid]
@@ -339,11 +339,9 @@ def fh_inverse(table, chi, lambda_max):
     return integrate_split(g, cells, _GRID_CELL_SPEC).value
 
 
-def partial_sum(f, params, M, chi=0.0):
-    """Spherical partial sum R^d int_0^a f(chi') D_M^{(d)}(chi')
-    sinh^{d-1}(chi') dchi', supported at the origin only."""
-    if chi != 0.0:
-        raise DomainError("partial sums are implemented at the origin only")
+def partial_sum(f, params, M):
+    """Spherical partial sum at the origin,
+    R^d int_0^a f(chi) D_M^{(d)}(chi) sinh^{d-1}(chi) dchi."""
     d = params.d
     if d == 2:
         return mehler_fock_inverse(_index_weight(_radial_abel_profile(f)), 1.0, M)
@@ -354,7 +352,7 @@ def partial_sum(f, params, M, chi=0.0):
         kernel_at = lambda x: dirichlet_recursion(kp, x)
     else:
         kernel_at = pointwise(lambda x: _band_integral(params, M, x))
-    Rd = params.R ** d
+    Rd = params.Rd
     profile = pointwise(f.profile)
 
     def g(x):
@@ -366,18 +364,22 @@ def partial_sum(f, params, M, chi=0.0):
     return Rd * total
 
 
-def parseval_check(f, params, lambda_max, grid_step=0.25):
+# Spacing of the lambda grid on which parseval_check samples the spectrum.
+_PARSEVAL_STEP = 0.25
+
+
+def parseval_check(f, params, lambda_max):
     """(norm of f in the sinh measure, norm of fhat in the truncated
     Plancherel measure); the two agree up to the spectral tail."""
     d = params.d
-    Rd = params.R ** d
+    Rd = params.Rd
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=2000)
     norm_f = Rd * integrate_split(
         pointwise(lambda x: f.profile(x) ** 2 * math.sinh(x) ** (d - 1)),
         f.breakpoints, spec).value
 
-    n = int(lambda_max / grid_step) + 1
-    grid = [j * grid_step for j in range(n + 1)]
+    n = int(lambda_max / _PARSEVAL_STEP) + 1
+    grid = [j * _PARSEVAL_STEP for j in range(n + 1)]
     table = spectrum_table(f, params, grid)
     interp = PchipInterpolator(np.array(table.lambda_grid), np.array(table.values))
 
@@ -488,7 +490,7 @@ def convolve_band_kernel(f, kp, x, envelope=DecayEnvelope()):
     Orders of magnitude faster than nested quadrature; agrees with
     convolve(f, D_M, x) by the verified product formula."""
     return (mehler_fock_inverse(_index_weight(_mf_profile(f, envelope)), x, kp.M)
-            / kp.spectral.R ** 2)
+            / SpectralParams(2, kp.spectral.R).Rd)
 
 
 def product_formula_residual(x, y, mu):

@@ -40,3 +40,32 @@ def _band_kernel(d, M, chi):
 @pytest.fixture(scope="session")
 def band_kernel_reference():
     return _band_kernel
+
+
+@functools.lru_cache(maxsize=None)
+def _far_band_kernel(d, M, chi):
+    """D_M(chi) at R = 1 for chi large enough that e^{-2 chi} is below the
+    working precision. There phi_lam(chi) = 2 Re[c(lam) e^{(i lam - rho) chi}],
+    so D_M = 2^{2 rho} / pi e^{-rho chi} Re int_0^M e^{i lam chi} h(lam) dlam
+    with h = 1/c(-lam), entire within rho of the real axis; the integral is
+    the series sum_n (-1)^n [e^{i lam chi} h^{(n)}(lam)]_0^M / (i chi)^{n+1}
+    of repeated integration by parts, whose terms fall like n!/(rho chi)^n;
+    after eight terms that is below 2e-14 relative for rho chi >= 200."""
+    with mp.workdps(30):
+        rho = mp.mpf(d - 1) / 2
+        M, chi = mp.mpf(M), mp.mpf(chi)
+
+        def h(lam):
+            return (mp.sqrt(mp.pi) * mp.gamma(rho - 1j * lam) * mp.rgamma(-1j * lam)
+                    / (2 ** (2 * rho - 1) * mp.gamma(rho + mp.mpf(1) / 2)))
+
+        total = 0
+        for n in range(8):
+            bracket = mp.exp(1j * M * chi) * mp.diff(h, M, n) - mp.diff(h, 0, n)
+            total += (-1) ** n * bracket / (1j * chi) ** (n + 1)
+        return float(2 ** (2 * rho) / mp.pi * mp.exp(-rho * chi) * mp.re(total))
+
+
+@pytest.fixture(scope="session")
+def far_band_kernel_reference():
+    return _far_band_kernel

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from hyperdirichlet.errors import DomainError, PoleError
@@ -21,6 +22,20 @@ class TestClosedVsGamma:
                 closed = c_modulus_sq_closed(pa, lam)
                 gamma = c_modulus_sq_gamma(pa, lam)
                 assert abs(closed - gamma) <= 1e-10 * abs(gamma)
+
+    @pytest.mark.parametrize("d", (3, 4, 7, 20))
+    def test_gamma_form_at_its_largest_lambda(self, d):
+        with mp.workdps(60):
+            rho = mp.mpf(d - 1) / 2
+            c = (2 ** (2 * rho - 1) * mp.gamma(5e4j) * mp.gamma(rho + mp.mpf(1) / 2)
+                 / (mp.sqrt(mp.pi) * mp.gamma(rho + 5e4j)))
+            ref = float(abs(c) ** 2)
+        assert c_modulus_sq_gamma(SpectralParams(d), 5e4) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_gamma_form_refuses_past_its_drift(self):
+        # the two log-gamma real parts cancel: at 1e300 the form gave 1.0 for 0.0
+        with pytest.raises(DomainError):
+            c_modulus_sq_gamma(SpectralParams(3), 1e300)
 
     def test_d1_constant(self):
         pa = SpectralParams(1)

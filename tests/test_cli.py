@@ -172,12 +172,20 @@ class TestErrorRecord:
         ["kernel", "--d", "4", "--M", "5", "--chi", "400", "--method", "recursion"],
         ["kernel", "--d", "2", "--M", "5", "--chi", "720", "--method", "recursion"],
     ], ids=("phi-d4", "quadrature-d4", "recursion-d4", "recursion-d2"))
-    def test_past_the_overflow_of_sinh_squared(self, argv, capsys):
-        # -sinh^2 chi, the 2F1 argument, overflows from chi = 354.9
-        assert main(argv) == 1
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "DomainError"
-        assert "overflows" in record["message"]
+    def test_past_the_overflow_of_sinh_squared(self, argv, capsys, far_band_kernel_reference):
+        # -sinh^2 chi, the argument of the series about chi = 0, overflows
+        # from chi = 354.9; the Harish-Chandra series answers there. The
+        # d = 4 kernel at 720 is of order e^{-1080}, below the subnormals.
+        assert main(argv) == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[-1])
+        d, chi = int(argv[2]), float(argv[argv.index("--chi") + 1])
+        if argv[0] == "phi":
+            with mp.workdps(60):
+                ref = float(mp.re(mp.hyp2f1(0.75 + 0.5j, 0.75 - 0.5j, 2, -mp.sinh(chi) ** 2)))
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        else:
+            ref = far_band_kernel_reference(d, 5, chi)
+            assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("argv,error", [
         (["transform", "--d", "3", "--action", "inverse", "--lambda", "0:20:4"], "GridError"),
@@ -327,11 +335,16 @@ def _assert_contract(argv):
 # derandomized and at most 50 examples each, so the suite stays fast and
 # every run draws the same cases
 _FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
+# fewer where a d = 2 route builds an Abel profile, about 0.5 s each
+_FUZZ_FEW = settings(max_examples=10, derandomize=True, deadline=None)
+# --R and --Rgrid log-uniform on [1e-300, 1e300]
+_RADII = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_PROFILES = st.sampled_from(["linear-ramp", "poly-vanish", "bump", "exp-decay", "one-jump"])
 
 
 class TestErrorContractProperties:
     @_FUZZ
-    @given(d=st.integers(2, 20), lam=st.floats(0.0, 1e3), chi=st.floats(0.0, 10.0))
+    @given(d=st.integers(2, 20), lam=st.floats(0.0, 1e3), chi=st.floats(0.0, 1e3))
     def test_phi(self, d, lam, chi):
         _assert_contract(["phi", "--d", str(d), "--lambda", repr(lam), "--chi", repr(chi)])
 
@@ -348,3 +361,23 @@ class TestErrorContractProperties:
     def test_kernel(self, method, d, M, chi):
         _assert_contract(["kernel", "--d", str(d), "--M", repr(M), "--chi", repr(chi),
                           "--method", method])
+
+    @_FUZZ_FEW
+    @given(action=st.sampled_from(["forward", "inverse", "parseval", "mehler-fock"]),
+           d=st.integers(2, 7), R=_RADII, f=_PROFILES)
+    def test_transform(self, action, d, R, f):
+        _assert_contract(["transform", "--d", str(d), "--R", repr(R), "--action", action,
+                          "--f", f, "--lambda", "0:5:9", "--chi", "0.5", "--mu", "0:5:3"])
+
+    @_FUZZ
+    @given(d=st.integers(3, 7), R=_RADII, f=_PROFILES)
+    def test_converge(self, d, R, f):
+        _assert_contract(["converge", "--d", str(d), "--R", repr(R), "--f", f,
+                          "--schedule", "5,10,20", "--format", "csv"])
+
+    @_FUZZ
+    @given(mode=st.sampled_from(["bessel", "density"]), d=st.integers(1, 20), R=_RADII,
+           Rgrid=_RADII)
+    def test_limits(self, mode, d, R, Rgrid):
+        _assert_contract(["limits", "--mode", mode, "--d", str(d), "--R", repr(R),
+                          "--Rgrid", repr(Rgrid)])

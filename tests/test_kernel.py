@@ -249,10 +249,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             dirichlet_recursion(KernelParams(SpectralParams(47), 3.0), 1.5)
 
-    def test_d2_past_the_overflow_of_sinh_squared(self):
+    def test_d2_past_the_overflow_of_sinh_squared(self, far_band_kernel_reference):
+        # -sinh^2 chi overflows from chi = 354.9; phi is summed about infinity
         kp = KernelParams(SpectralParams(2), 5.0)
-        with pytest.raises(DomainError):
-            dirichlet_d2(kp, math.cosh(400.0))
+        assert dirichlet_d2(kp, math.cosh(400.0)) == pytest.approx(
+            far_band_kernel_reference(2, 5, 400.0), rel=1e-10, abs=0.0)
 
     def test_m_tilde(self):
         kp = KernelParams(SpectralParams(3, 2.0), 10.0)

@@ -161,11 +161,6 @@ class TestSpectrumTable:
 
 
 class TestPartialSum:
-    def test_origin_only(self):
-        f = bump()
-        with pytest.raises(DomainError):
-            partial_sum(f, SpectralParams(3), 10.0, chi=0.5)
-
     def test_band_inversion_commutation(self):
         # partial_sum(f, M) equals integrating the sampled spectrum against
         # the density over [0, M] (phi = 1 at the origin)
