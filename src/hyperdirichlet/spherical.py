@@ -211,13 +211,14 @@ def phi_derivative(params, lam, chi):
 
 def eigen_residual(params, lam, chi, h):
     """|L_{R,chi} Phi + (lam^2 + rho^2)/R^2 Phi| via 5-point finite
-    differences of phi; a correctness certificate for the eigen-equation."""
+    differences of phi; a correctness certificate for the eigen-equation.
+    DomainError where R^2 overflows or underflows to 0."""
     if not chi > h > 0:
         raise DomainError("eigen_residual requires chi > h > 0")
+    R2 = SpectralParams(2, params.R).Rd
     f = [phi(params, lam, chi + j * h) for j in (-2, -1, 0, 1, 2)]
     d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * h)
     d2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)
-    R2 = params.R ** 2
     lap = (d2 + (params.d - 1) / math.tanh(chi) * d1) / R2
     return abs(lap + (lam * lam + params.rho ** 2) / R2 * f[2])
 

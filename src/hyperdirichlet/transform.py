@@ -1,10 +1,12 @@
 """Fourier-Helgason transform pair, spherical partial sums, Parseval check,
 and the d = 2 Mehler-Fock transform with hyperbolic translation/convolution.
 
-Batch spectra and all d = 2 index integrals route through an Abel-type
-reduction: the conical function's cosine integral representation turns
-int_1^inf P_{-1/2+i mu}(y) f(y) dy into a single cosine transform of a
-cached smooth profile, which is what keeps high-mu sweeps affordable.
+d = 2 spectra and all d = 2 index integrals route through the Abel
+transform: the conical function's cosine integral representation turns
+int_1^inf P_{-1/2+i mu}(y) f(y) dy into a cosine transform of the profile
+F(t) = int_{cosh t} f(y) (y - cosh t)^{-1/2} dy. F is sampled once per
+weight function, on Chebyshev pieces that double until they resolve it, and
+each index mu then costs one dot product with a cached Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, EnvelopeError, GridError
+from .errors import DomainError, EnvelopeError, GridError, QuadratureError
 from .numerics import (QuadratureSpec, integrate, integrate_cells, integrate_split, pointwise,
                        split_points)
 from .spherical import SpectralParams, _phi_array
@@ -194,44 +196,119 @@ def fh_forward(f, params, lam):
     return Rd * total
 
 
-# Points of each of the graded and the uniform layer of an Abel profile's grid.
-_ABEL_GRID = 2200
+# Chebyshev degree each piece of an Abel profile starts from and the most it
+# doubles to before the piece is split.
+_CHEB_START = 16
+_CHEB_MAX = 128
+# Tolerance of the profile's Chebyshev tails, that of each of its rows.
+_ABEL_ABS_TOL = 1e-13
+_ABEL_REL_TOL = 1e-11
+# Rows one profile may sample before it gives up on a profile that no
+# splitting resolves.
+_ABEL_MAX_ROWS = 8192
+# A piece at t = 0 that does not converge keeps this share of itself: F has a
+# t^2 log t term there when the profile's first derivative at 0 is not zero.
+_ABEL_SPLIT_AT_ZERO = 0.0625
+# Gauss-Legendre order of a cosine-moment panel, the radians of cos(mu t) that
+# one panel spans at most, and the most nodes a moment's rule may hold.
+_GL_ORDER = 16
+_PANEL_PHASE = 2.0 * math.pi
+_MAX_NODES = 1 << 18
+# Cosine-moment rules one profile keeps, keyed by their octave of mu.
+_RULES_KEPT = 8
+
+
+def _cheb_coefficients(values):
+    """Chebyshev coefficients of the interpolant through values at the points
+    cos(pi j / n), j = 0, ..., n."""
+    n = values.size - 1
+    c = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
+    c[0] *= 0.5
+    c[n] *= 0.5
+    return c
 
 
 class _AbelCosineProfile:
-    """Cached Abel reduction of a weight function on (1, Y):
+    """Abel reduction of a weight function on (1, Y):
 
     F(t) = int_{cosh t}^{Y} f(y) (y - cosh t)^{-1/2} dy,  0 <= t <= T,
     so that int_1^Y P_{-1/2+i mu}(y) f(y) dy
           = sqrt(2)/pi * int_0^T F(t) cos(mu t) dt.
 
-    F is sampled once on a grid graded toward t = T (where it vanishes like
-    a square root) and interpolated with a monotone cubic.
+    F is held as a Chebyshev interpolant on each piece [lo, hi] between 0, the
+    chi-breakpoints and T, in the variable v of t = hi - (hi - lo) v^2, which
+    absorbs the square root with which F ends at each piece's right end. A
+    piece doubles its points until its Chebyshev tail is below the rows'
+    tolerance, and is split where doubling does not get there. Cosine moments
+    are dot products with Gauss-Legendre rules in v weighted by F, built per
+    octave of mu and kept for the last few octaves.
     """
 
     def __init__(self, f_of_y, y_max, chi_breaks=()):
         self.y_max = float(y_max)
         self.T = math.acosh(self.y_max)
-        breaks = sorted(b for b in chi_breaks if 0.0 < b < self.T)
-        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
-        us = np.linspace(0.0, 1.0, _ABEL_GRID)
-        # Graded nodes resolve the square-root vanishing at t = T; the uniform
-        # layer keeps the interpolation error small near t = 0 as well, where
-        # the graded map leaves wide cells.
-        ts = sorted(set(
-            [float(math.acosh(self.y_max - (self.y_max - 1.0) * u * u)) for u in us[1:]]
-            + [float(t) for t in np.linspace(0.0, self.T, _ABEL_GRID)[1:-1]]
-            + [0.0, self.T] + breaks))
-        self._ts = np.array(ts)
-        # F(t) = int_0^smax 2 f(cosh t + s^2) ds with s^2 = y - cosh t, cut at
-        # the breakpoints past t: one row of cuts per t, a breakpoint at or
-        # before t cutting at 0, and empty cells dropped. Every cell of every
-        # t is resolved in one engine call.
-        ct = pointwise(math.cosh)(self._ts)
+        self._breaks = sorted(b for b in chi_breaks if 0.0 < b < self.T)
+        # The weight is not kept: a profile cached under a weight function
+        # must not keep that function alive.
+        weight = pointwise(f_of_y)
+        sampled = 0
+        # (lo, hi, Chebyshev coefficients in x = 2 v - 1) of every piece.
+        self._pieces = []
+        self._rules = {}
+        edges = [0.0] + self._breaks + [self.T]
+        # Pieces still doubling, each with its samples so far (None before
+        # the first); all their new rows are sampled in one engine call.
+        todo = [(lo, hi, None) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
+        while todo:
+            ts = []
+            for lo, hi, vals in todo:
+                n = _CHEB_START if vals is None else 2 * (vals.size - 1)
+                x = np.cos(np.pi * np.arange(n + 1) / n)
+                if vals is not None:
+                    x = x[1::2]
+                v = 0.5 * (1.0 + x)
+                ts.append(hi - (hi - lo) * v * v)
+            sizes = [t.size for t in ts]
+            sampled += sum(sizes)
+            if sampled > _ABEL_MAX_ROWS:
+                raise QuadratureError(
+                    f"Abel profile unresolved after {_ABEL_MAX_ROWS} rows")
+            rows = np.split(self._rows(weight, np.concatenate(ts)), np.cumsum(sizes)[:-1])
+            todo_next = []
+            for (lo, hi, vals), new in zip(todo, rows):
+                if vals is None:
+                    vals = new
+                else:
+                    merged = np.empty(2 * vals.size - 1)
+                    merged[::2] = vals
+                    merged[1::2] = new
+                    vals = merged
+                c = _cheb_coefficients(vals)
+                n = c.size - 1
+                tail = float(np.max(np.abs(c[3 * n // 4:])))
+                tol = max(_ABEL_ABS_TOL, _ABEL_REL_TOL * float(np.max(np.abs(vals))))
+                cut = _ABEL_SPLIT_AT_ZERO * hi if lo == 0.0 else 0.5 * (lo + hi)
+                if tail <= tol or not lo < cut < hi:
+                    self._pieces.append((lo, hi, c))
+                elif n < _CHEB_MAX:
+                    todo_next.append((lo, hi, vals))
+                else:
+                    todo_next += [(lo, cut, None), (cut, hi, None)]
+            todo = todo_next
+
+    def _rows(self, weight, ts):
+        """F at every t of ts, for the vectorized weight f:
+        F(t) = int_0^smax 2 f(cosh t + s^2) ds with s^2 = y - cosh t, cut at
+        the breakpoints past t: one row of cuts per t, a breakpoint at or
+        before t cutting at 0, and empty cells dropped. Every cell of every t
+        is resolved in one engine call."""
+        spec = QuadratureSpec(abs_tol=_ABEL_ABS_TOL, rel_tol=_ABEL_REL_TOL,
+                              max_subdivisions=400)
+        ct = pointwise(math.cosh)(ts)
         smax_sq = self.y_max - ct
         cuts = [np.zeros_like(ct)]
-        for b in breaks:
-            cuts.append(np.where(b > self._ts, np.sqrt(np.abs(math.cosh(b) - ct)), 0.0))
+        for b in self._breaks:
+            cuts.append(np.where(b > ts, np.sqrt(np.abs(math.cosh(b) - ct)), 0.0))
         cuts.append(np.sqrt(np.abs(smax_sq)))
         cuts = np.column_stack(cuts)
         if (cuts[:, 1:] < cuts[:, :-1]).any():
@@ -241,48 +318,74 @@ class _AbelCosineProfile:
         keep = (smax_sq > 0)[:, None] & (hi != lo)
         owner = np.nonzero(keep)[0]
         shift = ct[owner]
-        weight = pointwise(f_of_y)
         values = integrate_cells(lambda s, cell: 2.0 * weight(shift[cell] + s * s),
                                  lo[keep], hi[keep], spec)[0]
         # Each F(t) adds its cells left to right, from 0.
-        self._Fs = np.zeros_like(ct)
-        np.add.at(self._Fs, owner, values)
-        # F can decay super-exponentially toward t = T and leave subnormal
-        # samples; PCHIP's harmonic mean of their secant slopes overflows, so
-        # they are flushed to the exact zeros it handles.
-        self._Fs[np.abs(self._Fs) < np.finfo(float).tiny] = 0.0
-        self._interp = PchipInterpolator(self._ts, self._Fs, extrapolate=False)
-        # Gauss-Legendre panels aligned with the interpolation cells turn each
-        # cosine moment into one vectorized dot product. No panel may see more
-        # than ~2 radians of oscillation: up to mu = 2/h_max one panel per
-        # cell does, and those panels are built here once; past it the cells
-        # are subdivided per mu.
-        self._gx, self._gw = np.polynomial.legendre.leggauss(8)
-        self._h = np.diff(self._ts)
-        self._h_max = float(self._h.max())
-        self._panels = self._panel_arrays(np.ones(self._h.size, int))
+        Fs = np.zeros_like(ct)
+        np.add.at(Fs, owner, values)
+        return Fs
 
-    def _panel_arrays(self, nsub):
-        """Nodes and interpolant-weighted weights of the Gauss-Legendre panels,
-        with cell i cut into nsub[i] equal panels."""
-        lo_cell = np.repeat(self._ts[:-1], nsub)
-        hs = np.repeat(self._h / nsub, nsub)
-        idx = np.arange(int(nsub.sum())) - np.repeat(np.cumsum(nsub) - nsub, nsub)
-        lo = lo_cell + idx * hs
-        mids = lo + 0.5 * hs
-        halfs = 0.5 * hs
-        nodes = (mids[:, None] + halfs[:, None] * self._gx[None, :]).ravel()
-        fw = (halfs[:, None] * self._gw[None, :]).ravel() * self._interp(nodes)
-        return nodes, fw
+    def __call__(self, t):
+        """The interpolant of F at the ndarray t, zero outside [0, T]."""
+        t = np.asarray(t, float)
+        out = np.zeros_like(t)
+        for lo, hi, c in self._pieces:
+            inside = (t >= lo) & (t <= hi)
+            v = np.sqrt((hi - t[inside]) / (hi - lo))
+            out[inside] = np.polynomial.chebyshev.chebval(2.0 * v - 1.0, c)
+        return out
+
+    def _rule(self, mu):
+        """Nodes t and F-weighted weights of the rule that serves every index
+        up to the power of 2 above mu. DomainError where it would hold more
+        than _MAX_NODES nodes."""
+        # A rule holds more than mu T nodes; this test also refuses an
+        # infinite or nan mu before its octave is formed.
+        if not mu * self.T <= _MAX_NODES:
+            raise _too_many_nodes(mu)
+        octave = max(0, math.frexp(mu)[1])
+        rule = self._rules.get(octave)
+        if rule is not None:
+            return rule
+        # The panels of a piece merge uniform ones in v, two nodes per degree
+        # of F, with uniform ones in v^2, that is in t, each spanning at most
+        # _PANEL_PHASE radians of cos(2^octave t).
+        counts = [((c.size - 1) // 8, math.ceil(math.ldexp((hi - lo) / _PANEL_PHASE, octave)))
+                  for lo, hi, c in self._pieces]
+        if _GL_ORDER * sum(map(sum, counts)) > _MAX_NODES:
+            raise _too_many_nodes(mu)
+        gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
+        nodes = [np.zeros(0)]
+        weights = [np.zeros(0)]
+        for (lo, hi, c), (n_deg, n_phase) in zip(self._pieces, counts):
+            edges = np.union1d(np.linspace(0.0, 1.0, n_deg + 1),
+                               np.sqrt(np.arange(n_phase + 1) / n_phase))
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            v = (mid[:, None] + half[:, None] * gx).ravel()
+            w = (half[:, None] * gw).ravel()
+            F = np.polynomial.chebyshev.chebval(2.0 * v - 1.0, c)
+            nodes.append(hi - (hi - lo) * v * v)
+            weights.append(w * F * (2.0 * (hi - lo)) * v)
+        rule = (np.concatenate(nodes), np.concatenate(weights))
+        if len(self._rules) >= _RULES_KEPT:
+            del self._rules[next(iter(self._rules))]
+        self._rules[octave] = rule
+        return rule
 
     def cosine_moment(self, mu):
-        """sqrt(2)/pi * int_0^T F(t) cos(mu t) dt."""
-        if abs(mu) * self._h_max / 2.0 <= 1.0:
-            nodes, fw = self._panels
-        else:
-            nodes, fw = self._panel_arrays(np.ceil(abs(mu) * self._h / 2.0).astype(int))
+        """sqrt(2)/pi * int_0^T F(t) cos(mu t) dt. Raises DomainError where its
+        rule would need more than _MAX_NODES nodes."""
+        mu = abs(mu)
+        nodes, fw = self._rule(mu)
         s = float(np.dot(fw, np.cos(mu * nodes)))
         return math.sqrt(2.0) / math.pi * s
+
+
+def _too_many_nodes(mu):
+    """The refusal of a cosine moment whose rule would exceed _MAX_NODES."""
+    return DomainError(f"the cosine moment at mu = {mu:g} needs more than "
+                       f"{_MAX_NODES} nodes")
 
 
 def _radial_abel_profile(f):

@@ -225,6 +225,18 @@ class TestErrorRecord:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--d", "2", "--action", "mehler-fock", "--f", "exp-decay", "--mu", "1e7"],
+        ["transform", "--d", "2", "--action", "forward", "--f", "bump", "--lambda", "1e7"],
+    ], ids=("mehler-fock", "forward-d2"))
+    def test_cosine_moment_past_the_node_cap(self, argv, capsys):
+        # the index 1e7 would need a rule of about 1e8 nodes; it is refused
+        # before any of them is allocated
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
+
     def test_bad_grid_spec(self, capsys):
         rc = main(["phi", "--d", "3", "--lambda", "5:1:3", "--chi", "1"])
         assert rc == 1
@@ -335,9 +347,7 @@ def _assert_contract(argv):
 # derandomized and at most 50 examples each, so the suite stays fast and
 # every run draws the same cases
 _FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
-# fewer where a d = 2 route builds an Abel profile, about 0.5 s each
-_FUZZ_FEW = settings(max_examples=10, derandomize=True, deadline=None)
-# --R and --Rgrid log-uniform on [1e-300, 1e300]
+# --R, --Rgrid and --mu log-uniform on [1e-300, 1e300]
 _RADII = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 _PROFILES = st.sampled_from(["linear-ramp", "poly-vanish", "bump", "exp-decay", "one-jump"])
 
@@ -362,15 +372,15 @@ class TestErrorContractProperties:
         _assert_contract(["kernel", "--d", str(d), "--M", repr(M), "--chi", repr(chi),
                           "--method", method])
 
-    @_FUZZ_FEW
+    @_FUZZ
     @given(action=st.sampled_from(["forward", "inverse", "parseval", "mehler-fock"]),
-           d=st.integers(2, 7), R=_RADII, f=_PROFILES)
-    def test_transform(self, action, d, R, f):
+           d=st.integers(2, 7), R=_RADII, f=_PROFILES, mu=_RADII)
+    def test_transform(self, action, d, R, f, mu):
         _assert_contract(["transform", "--d", str(d), "--R", repr(R), "--action", action,
-                          "--f", f, "--lambda", "0:5:9", "--chi", "0.5", "--mu", "0:5:3"])
+                          "--f", f, "--lambda", "0:5:9", "--chi", "0.5", "--mu", repr(mu)])
 
     @_FUZZ
-    @given(d=st.integers(3, 7), R=_RADII, f=_PROFILES)
+    @given(d=st.integers(2, 7), R=_RADII, f=_PROFILES)
     def test_converge(self, d, R, f):
         _assert_contract(["converge", "--d", str(d), "--R", repr(R), "--f", f,
                           "--schedule", "5,10,20", "--format", "csv"])

@@ -144,6 +144,11 @@ class TestEigenEquation:
         pa = SpectralParams(3, 2.5)
         assert eigen_residual(pa, 2.0, 1.0, 1e-3) < 1e-6
 
+    @pytest.mark.parametrize("R", (1e200, 1e-200), ids=("R2-overflows", "R2-underflows"))
+    def test_radius_whose_square_is_not_representable(self, R):
+        with pytest.raises(DomainError):
+            eigen_residual(SpectralParams(3, R), 1.0, 1.0, 1e-3)
+
 
 class TestPhiDerivative:
     def test_matches_finite_difference(self):

@@ -231,11 +231,12 @@ class TestMehlerFock:
     def test_forward_against_bessel_k(self):
         # exact transform of e^{-(y-1)}: mu tanh(pi mu) e sqrt(2/pi) K_{i mu}(1)
         f = lambda y: math.exp(-(y - 1.0))
-        for mu in (0.5, 2.0, 5.0):
+        for mu in (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 15.0, 30.0, 40.0, 200.0):
             ours = mehler_fock_forward(f, mu, EXP_ENV)
-            ref = float(mu * math.tanh(math.pi * mu) * math.e
-                        * math.sqrt(2.0 / math.pi) * mp.re(mp.besselk(1j * mu, 1)))
-            assert abs(ours - ref) < 1e-7
+            with mp.workdps(25):
+                ref = float(mu * mp.tanh(mp.pi * mu) * mp.e * mp.sqrt(2 / mp.pi)
+                            * mp.re(mp.besselk(1j * mu, 1)))
+            assert abs(ours - ref) < 1e-11, mu
 
     def test_zero_index(self):
         assert mehler_fock_forward(lambda y: math.exp(-(y - 1.0)), 0.0, EXP_ENV) == 0.0
@@ -295,6 +296,13 @@ class TestMehlerFock:
                           * mp.re(mp.besselk(1j * mu, 1)), [0, 1, 2, 3, 4])
         assert abs(report.partial_sums[-1] - float(ref)) < 1e-8
 
+    def test_converge_d2_partial_sums_against_bessel_k(self):
+        # int_0^M mu tanh(pi mu) e sqrt(2/pi) K_{i mu}(1) dmu by 20-digit mpmath
+        from hyperdirichlet.convergence import converge_d2
+        report = converge_d2(lambda y: math.exp(-(y - 1.0)), [10.0, 20.0], 1.0, 2e-2, EXP_ENV)
+        assert abs(report.partial_sums[0] - 0.99999989552758404) < 1e-10
+        assert abs(report.partial_sums[1] - 1.0000000000000994) < 1e-10
+
     def test_one_abel_profile_per_call(self, monkeypatch):
         # a ufunc cannot be weakly referenced, so its profile is not cached:
         # each call must still build it once, not once per node
@@ -316,19 +324,35 @@ class TestMehlerFock:
 
     @pytest.mark.parametrize("factor", (1.5, 3.3))
     def test_cosine_moment_past_one_panel_per_cell(self, factor):
-        # Past mu = 2 / h_max the profile's cells are cut into several
-        # Gauss-Legendre panels; the interpolant is integrated here cell by
-        # cell by QUADPACK's cosine-weighted rule instead.
+        # At mu = 6597 and 14513 each piece of the profile spans thousands of
+        # periods and its rule hundreds of Gauss-Legendre panels; the
+        # Chebyshev interpolant is integrated here piece by piece by
+        # QUADPACK's cosine-weighted rule instead.
         from scipy.integrate import quad
         from hyperdirichlet.cli import make_test_function
         from hyperdirichlet.transform import _radial_abel_profile
         prof = _radial_abel_profile(make_test_function("one-jump", 1.0))
-        ts = prof._ts
-        mu = factor * 2.0 / float(max(ts[1:] - ts[:-1]))
+        mu = factor * 4398.0
         ref = math.sqrt(2.0) / math.pi * math.fsum(
-            quad(prof._interp, a, b, weight="cos", wvar=mu)[0]
-            for a, b in zip(ts[:-1], ts[1:]))
+            quad(prof, lo, hi, weight="cos", wvar=mu, limit=200, epsabs=1e-18,
+                 epsrel=1e-12)[0]
+            for lo, hi, _ in prof._pieces)
         assert prof.cosine_moment(mu) == pytest.approx(ref, rel=1e-8, abs=1e-15)
+
+    @pytest.mark.parametrize("mu", (0.5, 3.0, 15.0, 40.0))
+    def test_one_jump_cosine_moment_against_its_closed_profile(self, mu):
+        # f = 1 on chi < b and 1/2 on b < chi < a gives the exact Abel profile
+        # F(t) = sqrt(cosh b - cosh t) [t < b] + sqrt(cosh a - cosh t)
+        from hyperdirichlet.cli import make_test_function
+        from hyperdirichlet.transform import _radial_abel_profile
+        a, b = 1.0, 0.5
+        prof = _radial_abel_profile(make_test_function("one-jump", a))
+        with mp.workdps(30):
+            F = lambda t: (mp.sqrt(mp.cosh(b) - mp.cosh(t)) if t < b else 0) + mp.sqrt(
+                mp.cosh(a) - mp.cosh(t))
+            ref = mp.sqrt(2) / mp.pi * mp.quad(lambda t: F(t) * mp.cos(mu * t),
+                                               mp.linspace(0, b, 5) + mp.linspace(b, a, 5)[1:])
+        assert abs(prof.cosine_moment(mu) - float(ref)) < 1e-13
 
     def test_inverse_domain(self):
         with pytest.raises(DomainError):
