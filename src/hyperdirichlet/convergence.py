@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .numerics import extrapolate_limit, pointwise
 from .kernel import shannon_delta, _delta1
-from .transform import (DecayEnvelope, _chi_oscillatory, _index_weight, _mf_profile,
-                        mehler_fock_inverse, partial_sum)
+from .transform import (DecayEnvelope, _abel_partial_sum, _chi_oscillatory, _index_weight,
+                        _mf_profile, _radial_abel_profile, mehler_fock_inverse, partial_sum)
 
 __all__ = [
     "ConvergenceReport",
@@ -97,13 +97,16 @@ def _assemble_report(schedule, sums, target, tol):
 
 def converge_at_origin(f, params, M_schedule, target, tol):
     """Sweep the spherical partial sum at the origin over M_schedule and
-    judge convergence to the declared target (odd dimensions)."""
-    if params.d % 2 == 0:
-        raise DomainError(
-            "even dimension: use converge_d2 for d = 2, or study the "
-            "partial_sum quadrature directly for d >= 4")
+    judge convergence to the declared target (d != 2). Even d reads every
+    sum off one Abel profile of f."""
+    if params.d == 2:
+        raise DomainError("d = 2: use converge_d2")
     schedule = sorted(float(m) for m in M_schedule)
-    sums = [partial_sum(f, params, M) for M in schedule]
+    if params.d % 2:
+        sums = [partial_sum(f, params, M) for M in schedule]
+    else:
+        prof = _radial_abel_profile(f, params.rho)
+        sums = [_abel_partial_sum(prof, params, M) for M in schedule]
     return _assemble_report(schedule, sums, target, tol)
 
 

@@ -119,6 +119,13 @@ def _estimate(val, spread):
 # Cap on the Harish-Chandra budget of about 40/chi terms, which would grow
 # without bound as chi -> 0 at about 0.6 us a term.
 _HC_MAX_TERMS = 100_000
+# Least 2 chi n, the log of 1/q^n, at which n terms can converge. Below it
+# the last term is still above e^-20 = 2e-9 of Gamma_n, and |Gamma_n| falls
+# no faster than about n^-1/2 against a sum of about (2 chi)^-1/2 (rho = 1/2;
+# larger rho keep more): no term reaches 1e-17 of the sum. At the cap, over
+# d in {2, 3, 4, 6, 10} and lam from 0 to 1e9, the first convergent pass
+# was at 2 chi n = 27 (d = 2), and none converged at 24.
+_HC_MIN_DECAY = 20.0
 
 
 def _harish_chandra(rho, lam, chi):
@@ -131,13 +138,17 @@ def _harish_chandra(rho, lam, chi):
     dGamma_k/dlam rides the same loop. Returns (value, relative estimate):
     the realized cancellation of the term moduli, times the size of the
     phases whose rounding the value carries; inf where the about
-    40/chi + 100 terms, at most _HC_MAX_TERMS + 100, do not converge."""
+    40/chi + 100 terms, at most _HC_MAX_TERMS + 100, do not converge, decided
+    before the loop where the cap leaves too few."""
+    n_terms = int(min(40.0 / chi, _HC_MAX_TERMS)) + 100
+    if 2.0 * chi * n_terms < _HC_MIN_DECAY:
+        return math.nan, math.inf
     q = math.exp(-2.0 * chi)
     il = 1j * lam
     g, dg, s, ds = 1.0 + 0.0j, 0.0j, 0.0j, 0.0j   # Gamma_k, the running sum, d/dlam of each
     total, dtotal, absum, dabsum, qk = g, dg, 1.0, 0.0, 1.0
     small_streak = 0
-    for k in range(1, int(min(40.0 / chi, _HC_MAX_TERMS)) + 100):
+    for k in range(1, n_terms):
         mu = il - rho - 2.0 * (k - 1)
         s, ds = s + mu * g, ds + 1j * g + mu * dg
         g = -rho * s / (k * (k - il))
@@ -176,7 +187,9 @@ def _hypergeometric(rho, lam, chi):
     """phi = F(a, conj a; rho + 1/2; -sinh^2 chi), a = (rho + i lam)/2, by the
     plain series after the Pfaff step onto w = tanh^2 chi:
     F = cosh^{-2a} chi F(a, rho + 1/2 - conj a; rho + 1/2; w), with
-    1 - z = cosh^2 chi exact to rounding. Returns (value, relative estimate);
+    log cosh^2 chi = log1p(sinh^2 chi), which keeps the phase
+    (lam/2) log cosh^2 chi where 1 - z rounds to 1 + a few ulps (chi from
+    about 1e-10 to 1e-7). Returns (value, relative estimate);
     inf where the series does not converge, its value is not real, or
     -sinh^2 chi overflows (chi > 354.9)."""
     try:
@@ -188,7 +201,7 @@ def _hypergeometric(rho, lam, chi):
     w = z / (z - 1.0)
     val, maxpart, ok = _series_2f1(a, c - 0.5 * (rho - 1j * lam), c, w, _max_terms_for(w))
     est = _estimate(val, maxpart) if ok else math.inf
-    val = cmath.exp(-a * math.log(1.0 - z)) * val
+    val = cmath.exp(-a * math.log1p(-z)) * val
     if not abs(val.imag) <= 1e-10 * max(1.0, abs(val.real)):
         est = math.inf
     return val.real, est

@@ -1,12 +1,16 @@
 """Fourier-Helgason transform pair, spherical partial sums, Parseval check,
 and the d = 2 Mehler-Fock transform with hyperbolic translation/convolution.
 
-d = 2 spectra and all d = 2 index integrals route through the Abel
-transform: the conical function's cosine integral representation turns
-int_1^inf P_{-1/2+i mu}(y) f(y) dy into a cosine transform of the profile
-F(t) = int_{cosh t} f(y) (y - cosh t)^{-1/2} dy. F is sampled once per
-weight function, on Chebyshev pieces that double until they resolve it, and
-each index mu then costs one dot product with a cached Gauss-Legendre rule.
+d = 2 spectra, all d = 2 index integrals and every even-d partial sum route
+through the Abel transform of exponent rho - 1 (Koornwinder 1984): the
+spherical transform of f is C_rho times a cosine transform of the profile
+F(t) = int_{cosh t} f(y) (y - cosh t)^{rho-1} dy, y = cosh chi. F is
+sampled once per function, on Chebyshev pieces that double until they
+resolve it, and each index then costs one dot product with a cached
+Gauss-Legendre rule. An even-d partial sum at the origin is the integral of
+those moments against the Plancherel density over [0, M]; odd d keeps its
+closed-form and recursion kernels, and fh_forward and spectrum_table keep
+phi in every d != 2.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .numerics import (QuadratureSpec, integrate, integrate_cells, integrate_spl
 from .spherical import SpectralParams, _phi_array
 from .specfun import conical_p0
 from .cfunction import plancherel_density
-from .kernel import KernelParams, _band_integral, _power, dirichlet_closed, dirichlet_recursion
+from .kernel import KernelParams, _power, dirichlet_closed, dirichlet_recursion
 
 __all__ = [
     "RadialFunction",
@@ -176,8 +180,12 @@ _GRID_CELL_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=
 
 
 def _sinh_power(chi, n):
-    """sinh(chi) ** n on an ndarray, rounded as the scalar functions round."""
-    return _power(pointwise(math.sinh)(chi), n)
+    """sinh(chi) ** n on an ndarray, rounded as the scalar functions round.
+    DomainError where it overflows."""
+    try:
+        return _power(pointwise(math.sinh)(chi), n)
+    except OverflowError:
+        raise DomainError(f"sinh(chi)^{n} overflows on nodes up to chi = {float(np.max(chi)):g}") from None
 
 
 def fh_forward(f, params, lam):
@@ -201,13 +209,13 @@ def fh_forward(f, params, lam):
 _CHEB_START = 16
 _CHEB_MAX = 128
 # Tolerance of the profile's Chebyshev tails, that of each of its rows.
-_ABEL_ABS_TOL = 1e-13
-_ABEL_REL_TOL = 1e-11
+_ABEL_ROW_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
 # Rows one profile may sample before it gives up on a profile that no
 # splitting resolves.
 _ABEL_MAX_ROWS = 8192
 # A piece at t = 0 that does not converge keeps this share of itself: F has a
-# t^2 log t term there when the profile's first derivative at 0 is not zero.
+# t^{2 rho + 1} log t term there (t^2 log t at d = 2) when rho is a half
+# integer and the profile's first derivative at 0 is not zero.
 _ABEL_SPLIT_AT_ZERO = 0.0625
 # Gauss-Legendre order of a cosine-moment panel, the radians of cos(mu t) that
 # one panel spans at most, and the most nodes a moment's rule may hold.
@@ -229,36 +237,44 @@ def _cheb_coefficients(values):
 
 
 class _AbelCosineProfile:
-    """Abel reduction of a weight function on (1, Y):
+    """Abel transform of exponent rho - 1 of a function on (0, T) in
+    chi, or of a weight function of y = cosh chi on (1, cosh T):
 
-    F(t) = int_{cosh t}^{Y} f(y) (y - cosh t)^{-1/2} dy,  0 <= t <= T,
-    so that int_1^Y P_{-1/2+i mu}(y) f(y) dy
-          = sqrt(2)/pi * int_0^T F(t) cos(mu t) dt.
+    F(t) = int_{cosh t}^{cosh T} f(y) (y - cosh t)^{rho-1} dy,  0 <= t <= T,
+    so that (Koornwinder 1984) int_0^T f(chi) phi_mu(chi) sinh^{2 rho} chi dchi
+          = C_rho int_0^T F(t) cos(mu t) dt,
+    C_rho = 2^{rho-1/2} Gamma(rho+1/2) sqrt(2/pi) / Gamma(rho). At rho = 1/2,
+    phi is the conical function P_{-1/2+i mu}, C_rho = sqrt(2)/pi, and the
+    left side is int_1^{cosh T} P_{-1/2+i mu}(y) f(y) dy. rows(ts, breaks)
+    samples F at an ndarray of t, given the chi-breakpoints inside (0, T); it
+    is not kept, so a profile cached under a weight function does not keep
+    that function alive.
 
     F is held as a Chebyshev interpolant on each piece [lo, hi] between 0, the
     chi-breakpoints and T, in the variable v of t = hi - (hi - lo) v^2, which
-    absorbs the square root with which F ends at each piece's right end. A
+    absorbs the (hi - t)^rho with which F ends at each piece's right end. A
     piece doubles its points until its Chebyshev tail is below the rows'
     tolerance, and is split where doubling does not get there. Cosine moments
     are dot products with Gauss-Legendre rules in v weighted by F, built per
     octave of mu and kept for the last few octaves.
     """
 
-    def __init__(self, f_of_y, y_max, chi_breaks=()):
-        self.y_max = float(y_max)
-        self.T = math.acosh(self.y_max)
-        self._breaks = sorted(b for b in chi_breaks if 0.0 < b < self.T)
-        # The weight is not kept: a profile cached under a weight function
-        # must not keep that function alive.
-        weight = pointwise(f_of_y)
+    def __init__(self, rows, T, chi_breaks=(), rho=0.5):
+        self.T = T
+        # C_rho, as sqrt(2)/pi times a factor that is exactly 1 at rho = 1/2.
+        self._scale = math.sqrt(2.0) / math.pi * math.exp(
+            (rho - 0.5) * math.log(2.0) + math.lgamma(rho + 0.5) + math.lgamma(0.5)
+            - math.lgamma(rho))
+        breaks = sorted(b for b in chi_breaks if 0.0 < b < T)
         sampled = 0
         # (lo, hi, Chebyshev coefficients in x = 2 v - 1) of every piece.
         self._pieces = []
         self._rules = {}
-        edges = [0.0] + self._breaks + [self.T]
+        edges = [0.0] + breaks + [T]
         # Pieces still doubling, each with its samples so far (None before
         # the first); all their new rows are sampled in one engine call.
         todo = [(lo, hi, None) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
+        F_max = 0.0
         while todo:
             ts = []
             for lo, hi, vals in todo:
@@ -273,9 +289,9 @@ class _AbelCosineProfile:
             if sampled > _ABEL_MAX_ROWS:
                 raise QuadratureError(
                     f"Abel profile unresolved after {_ABEL_MAX_ROWS} rows")
-            rows = np.split(self._rows(weight, np.concatenate(ts)), np.cumsum(sizes)[:-1])
+            new_rows = np.split(rows(np.concatenate(ts), breaks), np.cumsum(sizes)[:-1])
             todo_next = []
-            for (lo, hi, vals), new in zip(todo, rows):
+            for (lo, hi, vals), new in zip(todo, new_rows):
                 if vals is None:
                     vals = new
                 else:
@@ -286,44 +302,20 @@ class _AbelCosineProfile:
                 c = _cheb_coefficients(vals)
                 n = c.size - 1
                 tail = float(np.max(np.abs(c[3 * n // 4:])))
-                tol = max(_ABEL_ABS_TOL, _ABEL_REL_TOL * float(np.max(np.abs(vals))))
+                size = float(np.max(np.abs(vals)))
+                tol = max(_ABEL_ROW_SPEC.abs_tol, _ABEL_ROW_SPEC.rel_tol * size)
                 cut = _ABEL_SPLIT_AT_ZERO * hi if lo == 0.0 else 0.5 * (lo + hi)
                 if tail <= tol or not lo < cut < hi:
                     self._pieces.append((lo, hi, c))
+                    F_max = max(F_max, size)
                 elif n < _CHEB_MAX:
                     todo_next.append((lo, hi, vals))
                 else:
                     todo_next += [(lo, cut, None), (cut, hi, None)]
             todo = todo_next
-
-    def _rows(self, weight, ts):
-        """F at every t of ts, for the vectorized weight f:
-        F(t) = int_0^smax 2 f(cosh t + s^2) ds with s^2 = y - cosh t, cut at
-        the breakpoints past t: one row of cuts per t, a breakpoint at or
-        before t cutting at 0, and empty cells dropped. Every cell of every t
-        is resolved in one engine call."""
-        spec = QuadratureSpec(abs_tol=_ABEL_ABS_TOL, rel_tol=_ABEL_REL_TOL,
-                              max_subdivisions=400)
-        ct = pointwise(math.cosh)(ts)
-        smax_sq = self.y_max - ct
-        cuts = [np.zeros_like(ct)]
-        for b in self._breaks:
-            cuts.append(np.where(b > ts, np.sqrt(np.abs(math.cosh(b) - ct)), 0.0))
-        cuts.append(np.sqrt(np.abs(smax_sq)))
-        cuts = np.column_stack(cuts)
-        if (cuts[:, 1:] < cuts[:, :-1]).any():
-            cuts = np.sort(cuts, axis=1)
-        lo = cuts[:, :-1]
-        hi = cuts[:, 1:]
-        keep = (smax_sq > 0)[:, None] & (hi != lo)
-        owner = np.nonzero(keep)[0]
-        shift = ct[owner]
-        values = integrate_cells(lambda s, cell: 2.0 * weight(shift[cell] + s * s),
-                                 lo[keep], hi[keep], spec)[0]
-        # Each F(t) adds its cells left to right, from 0.
-        Fs = np.zeros_like(ct)
-        np.add.at(Fs, owner, values)
-        return Fs
+        # C_rho T max|F| bounds every cosine moment; each carries rounding of
+        # a few eps times it, however small the moment itself.
+        self.moment_bound = self._scale * T * F_max
 
     def __call__(self, t):
         """The interpolant of F at the ndarray t, zero outside [0, T]."""
@@ -379,7 +371,7 @@ class _AbelCosineProfile:
         mu = abs(mu)
         nodes, fw = self._rule(mu)
         s = float(np.dot(fw, np.cos(mu * nodes)))
-        return math.sqrt(2.0) / math.pi * s
+        return self._scale * s
 
 
 def _too_many_nodes(mu):
@@ -388,13 +380,98 @@ def _too_many_nodes(mu):
                        f"{_MAX_NODES} nodes")
 
 
-def _radial_abel_profile(f):
-    """Abel profile of a RadialFunction read as a weight function of
-    y = cosh chi on (1, cosh a)."""
-    return _AbelCosineProfile(
-        lambda y: f.profile(math.acosh(y)) if y > 1.0 else f.profile(0.0),
-        math.cosh(f.support_bound),
-        chi_breaks=f.breakpoints[1:-1])
+def _weight_rows(f_of_y, y_max):
+    """Rows of the rho = 1/2 Abel profile of a weight function f of y on
+    (1, y_max): F(t) = int_0^smax 2 f(cosh t + s^2) ds with s^2 = y - cosh t,
+    cut at the breakpoints past t: one row of cuts per t, a breakpoint at or
+    before t cutting at 0, and empty cells dropped. Every cell of every t is
+    resolved in one engine call."""
+    weight = pointwise(f_of_y)
+
+    def rows(ts, breaks):
+        ct = pointwise(math.cosh)(ts)
+        smax_sq = y_max - ct
+        cuts = [np.zeros_like(ct)]
+        for b in breaks:
+            cuts.append(np.where(b > ts, np.sqrt(np.abs(math.cosh(b) - ct)), 0.0))
+        cuts.append(np.sqrt(np.abs(smax_sq)))
+        cuts = np.column_stack(cuts)
+        if (cuts[:, 1:] < cuts[:, :-1]).any():
+            cuts = np.sort(cuts, axis=1)
+        lo = cuts[:, :-1]
+        hi = cuts[:, 1:]
+        keep = (smax_sq > 0)[:, None] & (hi != lo)
+        owner = np.nonzero(keep)[0]
+        shift = ct[owner]
+        values = integrate_cells(lambda s, cell: 2.0 * weight(shift[cell] + s * s),
+                                 lo[keep], hi[keep], _ABEL_ROW_SPEC)[0]
+        # Each F(t) adds its cells left to right, from 0.
+        Fs = np.zeros_like(ct)
+        np.add.at(Fs, owner, values)
+        return Fs
+
+    return rows
+
+
+def _radial_rows(f, rho):
+    """Rows of the Abel profile of exponent rho - 1 of a RadialFunction, in
+    chi = t + u^2:
+    F(t) = int_0^sqrt(a - t) f(t + u^2) (cosh chi - cosh t)^{rho-1} sinh chi 2u du,
+    with cosh chi - cosh t = 2 sinh(t + u^2/2) sinh(u^2/2), cut at the
+    breakpoints past t. In y = cosh chi the profile f(acosh y) has a branch
+    point at y = 1, a distance of about t from each row; Gauss-Kronrod then
+    accepts rows 3e-13 off at an estimate of 1e-16, which the Plancherel
+    density amplifies about M^{2 rho} times in a partial sum."""
+    profile = pointwise(f.profile)
+    a = f.support_bound
+
+    def rows(ts, breaks):
+        cuts = np.column_stack([np.zeros_like(ts)]
+                               + [np.sqrt(np.maximum(b - ts, 0.0)) for b in breaks]
+                               + [np.sqrt(a - ts)])
+        lo = cuts[:, :-1]
+        hi = cuts[:, 1:]
+        keep = hi > lo
+        owner = np.nonzero(keep)[0]
+        shift = ts[owner]
+
+        def row(u, cell):
+            t = shift[cell]
+            w = u * u
+            with np.errstate(over="ignore"):
+                value = (profile(t + w) * (2.0 * np.sinh(t + 0.5 * w) * np.sinh(0.5 * w))
+                         ** (rho - 1.0) * np.sinh(t + w) * (2.0 * u))
+            if not np.isfinite(value).all():
+                raise DomainError(f"the Abel profile overflows at a = {a:g}")
+            return value
+
+        values = integrate_cells(row, lo[keep], hi[keep], _ABEL_ROW_SPEC)[0]
+        Fs = np.zeros_like(ts)
+        np.add.at(Fs, owner, values)
+        return Fs
+
+    return rows
+
+
+def _radial_abel_profile(f, rho=0.5):
+    """Abel profile of exponent rho - 1 of a RadialFunction on (0, a). At
+    rho = 1/2 it is read as a weight function of y = cosh chi on (1, cosh a);
+    DomainError where cosh a, or the kernel (cosh a - 1)^{rho-1} sinh a of a
+    larger rho, overflows."""
+    a = f.support_bound
+    try:
+        # y_max at rho = 1/2, the kernel at (t, chi) = (0, a) past it
+        top = (math.cosh(a) if rho == 0.5
+               else (2.0 * math.sinh(0.5 * a) ** 2) ** (rho - 1.0) * math.sinh(a))
+    except OverflowError:
+        top = math.inf
+    if top == math.inf:
+        raise DomainError(f"the Abel profile overflows at a = {a:g}")
+    if rho == 0.5:
+        return _AbelCosineProfile(
+            _weight_rows(lambda y: f.profile(math.acosh(y)) if y > 1.0 else f.profile(0.0), top),
+            math.acosh(top), f.breakpoints[1:-1])
+    return _AbelCosineProfile(_radial_rows(f, rho), a, f.breakpoints[1:-1], rho)
 
 
 def spectrum_table(f, params, lambda_grid):
@@ -442,19 +519,50 @@ def fh_inverse(table, chi, lambda_max):
     return integrate_split(g, cells, _GRID_CELL_SPEC).value
 
 
+# Cells of pi/T one partial sum from an Abel profile may take: M T up to
+# about 1600, about a second.
+_MAX_SUM_CELLS = 512
+
+
+def _abel_partial_sum(prof, params, M):
+    """The spherical partial sum at the origin read off an Abel profile of
+    exponent rho - 1: int_0^M fhat(lam) density(lam) dlam with
+    fhat = R^d C_rho int_0^T F(t) cos(lam t) dt, cut at the pi/T spacing of
+    the moments' oscillation. DomainError past _MAX_SUM_CELLS cells."""
+    # Each cell takes at least 15 moments, each a dot product of about
+    # 16 M T / pi nodes, so the work grows like (M T)^2.
+    if not M * prof.T <= _MAX_SUM_CELLS * math.pi:
+        raise DomainError(f"the partial sum at M = {M:g} over (0, {prof.T:g}) needs more "
+                          f"than {_MAX_SUM_CELLS} cells")
+    # The density grows with lam, so peak bounds the integrand and
+    # R^d M peak the sum.
+    peak = prof.moment_bound * plancherel_density(params, M)
+    if not max(peak, peak * M * params.Rd) < math.inf:
+        raise DomainError(f"the partial sum overflows at M = {M:g}")
+    density = pointwise(lambda lam: plancherel_density(params, lam))
+    moment = pointwise(prof.cosine_moment)
+    cuts = split_points(0.0, M, math.pi / prof.T)
+    # No cell is resolved past the moments' rounding (positive where F = 0).
+    floor = 1e-15 * peak * math.pi / prof.T
+    spec = QuadratureSpec(abs_tol=max(floor, 1e-300), rel_tol=1e-12, max_subdivisions=200)
+    return params.Rd * integrate_split(lambda lam: moment(lam) * density(lam), cuts, spec).value
+
+
 def partial_sum(f, params, M):
     """Spherical partial sum at the origin,
-    R^d int_0^a f(chi) D_M^{(d)}(chi) sinh^{d-1}(chi) dchi."""
+    R^d int_0^a f(chi) D_M^{(d)}(chi) sinh^{d-1}(chi) dchi: for odd d by
+    the closed-form or recursion kernel, for even d from the Abel profile
+    of f (d = 2 through mehler_fock_inverse)."""
     d = params.d
     if d == 2:
         return mehler_fock_inverse(_index_weight(_radial_abel_profile(f)), 1.0, M)
+    if d % 2 == 0:
+        return _abel_partial_sum(_radial_abel_profile(f, params.rho), params, M)
     kp = KernelParams(params, M)
     if d in (1, 3, 5):
         kernel_at = lambda x: dirichlet_closed(kp, x)
-    elif d % 2:
-        kernel_at = lambda x: dirichlet_recursion(kp, x)
     else:
-        kernel_at = pointwise(lambda x: _band_integral(params, M, x))
+        kernel_at = lambda x: dirichlet_recursion(kp, x)
     Rd = params.Rd
     profile = pointwise(f.profile)
 
@@ -471,15 +579,30 @@ def partial_sum(f, params, M):
 _PARSEVAL_STEP = 0.25
 
 
+def _norm(g, cuts, spec):
+    """integrate_split of the scalar, non-negative g, or inf where a value of
+    g overflows."""
+    def checked(x):
+        value = g(x)
+        if value == math.inf:
+            raise OverflowError
+        return value
+
+    try:
+        return integrate_split(pointwise(checked), cuts, spec).value
+    except OverflowError:
+        return math.inf
+
+
 def parseval_check(f, params, lambda_max):
     """(norm of f in the sinh measure, norm of fhat in the truncated
-    Plancherel measure); the two agree up to the spectral tail."""
+    Plancherel measure); the two agree up to the spectral tail. DomainError
+    where either overflows."""
     d = params.d
     Rd = params.Rd
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=2000)
-    norm_f = Rd * integrate_split(
-        pointwise(lambda x: f.profile(x) ** 2 * math.sinh(x) ** (d - 1)),
-        f.breakpoints, spec).value
+    norm_f = Rd * _norm(lambda x: f.profile(x) ** 2 * math.sinh(x) ** (d - 1),
+                        f.breakpoints, spec)
 
     n = int(lambda_max / _PARSEVAL_STEP) + 1
     grid = [j * _PARSEVAL_STEP for j in range(n + 1)]
@@ -491,7 +614,9 @@ def parseval_check(f, params, lambda_max):
 
     # Cell by cell along the sampling grid, as in fh_inverse.
     cells = [x for x in table.lambda_grid if x < lambda_max] + [float(lambda_max)]
-    norm_spec = integrate_split(pointwise(g), cells, _GRID_CELL_SPEC).value
+    norm_spec = _norm(g, cells, _GRID_CELL_SPEC)
+    if not max(norm_f, norm_spec) < math.inf:
+        raise DomainError(f"the Parseval norms overflow at d = {d}, a = {f.support_bound:g}")
     return norm_f, norm_spec
 
 
@@ -512,7 +637,7 @@ def _mf_profile(f, envelope):
             if yy < Y and abs(f(yy)) > envelope.bound(yy) * (1.0 + 1e-9) + 1e-300:
                 raise EnvelopeError(
                     f"declared decay envelope is violated at y = {yy}")
-        prof = _AbelCosineProfile(f, Y)
+        prof = _AbelCosineProfile(_weight_rows(f, Y), math.acosh(Y))
         profiles[envelope] = prof
     return prof
 

@@ -212,11 +212,23 @@ class TestErrorRecord:
         ["kernel", "--d", "9", "--M", "1e200", "--chi", "1", "--method", "recursion"],
         ["limits", "--mode", "density", "--d", "3", "--Rgrid", "0:1:2"],
         ["limits", "--mode", "density", "--d", "3", "--Rgrid", "-1"],
+        ["transform", "--d", "2", "--action", "forward", "--f", "bump", "--a", "800",
+         "--lambda", "1"],
+        ["transform", "--d", "3", "--action", "forward", "--f", "bump", "--a", "360",
+         "--lambda", "1"],
+        ["converge", "--d", "5", "--f", "bump", "--a", "200"],
+        ["converge", "--d", "6", "--f", "bump", "--a", "300"],
+        ["transform", "--d", "3", "--R", "1e100", "--action", "parseval", "--f", "bump",
+         "--lambda", "0:5:9"],
+        ["converge", "--d", "4", "--f", "bump", "--a", "100"],
+        ["converge", "--d", "4", "--f", "poly-vanish", "--a", "470", "--schedule", "1,2,3"],
     ], ids=("phi-chi-inf", "phi-lambda-nan", "phi-d3-chi-inf", "kernel-M-inf",
             "kernel-R-inf", "cfunc-lambda-inf", "cfunc-overflow", "mehler-fock-mu-nan",
             "quadrature-M-1e300", "asymptotic-overflow", "closed-overflow",
             "recursion-overflow", "density-R-zero",
-            "density-R-negative"))
+            "density-R-negative", "forward-d2-cosh-a", "forward-d3-sinh-squared",
+            "converge-d5-sinh-fourth", "converge-d6-abel-kernel", "parseval-fhat-squared",
+            "converge-d4-past-the-cell-cap", "converge-d4-abel-rows"))
     def test_unrepresentable_input_record(self, argv, capsys):
         # non-finite inputs, cuts without bound, overflow and R <= 0 end in a
         # DomainError record, not a traceback, a hang or a nan on stdout
@@ -349,6 +361,8 @@ def _assert_contract(argv):
 _FUZZ = settings(max_examples=50, derandomize=True, deadline=None)
 # --R, --Rgrid and --mu log-uniform on [1e-300, 1e300]
 _RADII = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+# --a log-uniform on [1e-2, 1e3]
+_SUPPORTS = st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)
 _PROFILES = st.sampled_from(["linear-ramp", "poly-vanish", "bump", "exp-decay", "one-jump"])
 
 
@@ -374,15 +388,16 @@ class TestErrorContractProperties:
 
     @_FUZZ
     @given(action=st.sampled_from(["forward", "inverse", "parseval", "mehler-fock"]),
-           d=st.integers(2, 7), R=_RADII, f=_PROFILES, mu=_RADII)
-    def test_transform(self, action, d, R, f, mu):
+           d=st.integers(2, 7), R=_RADII, f=_PROFILES, mu=_RADII, a=_SUPPORTS)
+    def test_transform(self, action, d, R, f, mu, a):
         _assert_contract(["transform", "--d", str(d), "--R", repr(R), "--action", action,
-                          "--f", f, "--lambda", "0:5:9", "--chi", "0.5", "--mu", repr(mu)])
+                          "--f", f, "--a", repr(a), "--lambda", "0:5:9", "--chi", "0.5",
+                          "--mu", repr(mu)])
 
     @_FUZZ
-    @given(d=st.integers(2, 7), R=_RADII, f=_PROFILES)
-    def test_converge(self, d, R, f):
-        _assert_contract(["converge", "--d", str(d), "--R", repr(R), "--f", f,
+    @given(d=st.integers(2, 7), R=_RADII, f=_PROFILES, a=_SUPPORTS)
+    def test_converge(self, d, R, f, a):
+        _assert_contract(["converge", "--d", str(d), "--R", repr(R), "--f", f, "--a", repr(a),
                           "--schedule", "5,10,20", "--format", "csv"])
 
     @_FUZZ

@@ -74,6 +74,27 @@ class TestConvergeAtOrigin:
         with pytest.raises(DomainError):
             converge_at_origin(linear_ramp(), SpectralParams(2), SCHEDULE, 1.0, 1e-2)
 
+    def test_d4_schedule_on_one_abel_profile(self, monkeypatch):
+        # the references are the spectral side, scipy quad of
+        # fh_forward * plancherel_density over [0, M] (epsabs = epsrel = 1e-13,
+        # points at every integer)
+        from hyperdirichlet import transform
+        builds = []
+        init = transform._AbelCosineProfile.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(transform._AbelCosineProfile, "__init__", counted)
+        r = converge_at_origin(linear_ramp(), SpectralParams(4), [4.0, 8.0, 16.0, 32.0],
+                               1.0, 5e-2)
+        assert len(builds) == 1
+        refs = (0.4697504326179561, 0.8492987810017003, 0.7818250215645156,
+                1.0431009161645943)
+        for s, ref in zip(r.partial_sums, refs):
+            assert s == pytest.approx(ref, rel=1e-10, abs=0.0)
+
 
 class TestBoundaryAudit:
     def setup_method(self):

@@ -140,6 +140,25 @@ class TestHarishChandra:
         with pytest.raises(ConvergenceError):
             phi(SpectralParams(4), 1e9, 1e-7)
 
+    @pytest.mark.parametrize("lam", (0.0, 1.0, 1e5))
+    def test_no_pass_converges_where_it_is_refused(self, lam, monkeypatch):
+        # just below the least decay the pass is refused before its loop;
+        # run anyway, its 100,100 terms end without converging (rho = 1/2,
+        # the most permissive)
+        from hyperdirichlet import specfun
+        chi = 0.99 * specfun._HC_MIN_DECAY / (2.0 * (specfun._HC_MAX_TERMS + 100))
+        val, est = _harish_chandra(0.5, lam, chi)
+        assert math.isnan(val) and est == math.inf
+        monkeypatch.setattr(specfun, "_HC_MIN_DECAY", 0.0)
+        assert _harish_chandra(0.5, lam, chi)[1] == math.inf
+
+    @pytest.mark.parametrize("lam,chi", ((3e7, 3e-8), (1e8, 1e-8)))
+    def test_phi_where_one_minus_z_rounds(self, lam, chi):
+        # 1 + sinh^2 chi rounds to 1 + a few ulps; its log, taken as
+        # log1p(sinh^2 chi), keeps the phase (lam/2) log cosh^2 chi
+        assert phi(SpectralParams(4), lam, chi) == pytest.approx(
+            phi_mpmath(4, lam, chi), rel=1e-12, abs=0.0)
+
     def test_phi_where_the_plain_series_overflows(self):
         # the terms of the plain 2F1 series overflow abs() here
         assert phi(SpectralParams(4), 1000.0, 0.9) == pytest.approx(

@@ -160,6 +160,33 @@ class TestSpectrumTable:
             SpectrumTable((0.0, 1.0), (1.0, math.nan), pa)
 
 
+# S_M f(0) at R = 1 for the CLI profiles at a = 1 and M = 2, 8, 25, by the
+# spectral side: scipy quad of fh_forward * plancherel_density over [0, M]
+# (epsabs = epsrel = 1e-13, points at every integer), as in
+# test_even_d4_vs_spectral_side. Each is within about 1e-12 of the sum over
+# a phi band integral per chi node; they cost 0.02-6 s each, so they are
+# kept here.
+_PARTIAL_SUM_BANDS = (2.0, 8.0, 25.0)
+_EVEN_SPECTRAL_SIDE = {
+    (4, "linear-ramp"): (0.052941078751435396, 0.8492987810017003, 1.0141437250645933),
+    (4, "poly-vanish"): (0.02486223013039334, -0.04890563230450937, 0.08459175364523318),
+    (4, "bump"): (0.056463424595504075, 1.3702457910834318, 0.907023242812669),
+    (4, "exp-decay"): (0.1182493204149834, 0.31177226245190914, 1.6397273163882762),
+    (4, "one-jump"): (0.13762502099364665, 0.5777338427402221, 2.379246205560029),
+    (6, "linear-ramp"): (0.008414048969530028, 1.201276162805539, 0.5369617227354622),
+    (6, "poly-vanish"): (0.004928647064351344, 0.2496711830715178, -0.27530709924045005),
+    (6, "bump"): (0.007241427093609313, 1.9093993556051898, 1.2298236141858712),
+    (6, "exp-decay"): (0.025393957172942242, 0.6179292763570461, 6.377555285150464),
+    (6, "one-jump"): (0.03016938177455303, 0.4970876930314887, 11.008704736367363),
+    (8, "linear-ramp"): (0.0013608430282424542, 1.566423876298012, -2.6982968799633866),
+    (8, "poly-vanish"): (0.0008996576155459213, 0.7112466592379166, -3.647379271049852),
+    (8, "bump"): (0.0009284890200015696, 1.8813534329843578, 4.262019907570472),
+    (8, "exp-decay"): (0.005190175722314287, 2.4501114137194713, -13.905270339755226),
+    (8, "one-jump"): (0.0063224876817786135, 2.54282019160214, -17.17986576557427),
+}
+_CLI_PROFILES = ("linear-ramp", "poly-vanish", "bump", "exp-decay", "one-jump")
+
+
 class TestPartialSum:
     def test_band_inversion_commutation(self):
         # partial_sum(f, M) equals integrating the sampled spectrum against
@@ -208,6 +235,29 @@ class TestPartialSum:
         spectral = integrate(pointwise(lambda lam: fh_forward(f, pa, lam)
                                        * plancherel_density(pa, lam)), 0.0, 2.0, spec).value
         assert partial_sum(f, pa, 2.0) == pytest.approx(spectral, abs=1e-12)
+
+    @pytest.mark.parametrize("name", _CLI_PROFILES)
+    @pytest.mark.parametrize("d", (3, 5, 7))
+    def test_abel_route_against_the_odd_kernels(self, d, name):
+        # the odd-d closed-form and recursion kernels are the oracle of the
+        # route even d takes: the lambda-integral of the cosine moments of
+        # the Abel profile of exponent rho - 1
+        from hyperdirichlet.cli import make_test_function
+        from hyperdirichlet.transform import _abel_partial_sum, _radial_abel_profile
+        pa = SpectralParams(d)
+        f = make_test_function(name, 1.0)
+        prof = _radial_abel_profile(f, pa.rho)
+        for M in _PARTIAL_SUM_BANDS:
+            assert _abel_partial_sum(prof, pa, M) == pytest.approx(
+                partial_sum(f, pa, M), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("name", _CLI_PROFILES)
+    @pytest.mark.parametrize("d", (4, 6, 8))
+    def test_even_d_against_the_spectral_side(self, d, name):
+        from hyperdirichlet.cli import make_test_function
+        f = make_test_function(name, 1.0)
+        for M, ref in zip(_PARTIAL_SUM_BANDS, _EVEN_SPECTRAL_SIDE[d, name]):
+            assert partial_sum(f, SpectralParams(d), M) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_d5_recursion_path_vs_boundary_audit(self):
         from hyperdirichlet.convergence import example_d5_boundary_audit
