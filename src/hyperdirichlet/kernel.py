@@ -167,12 +167,23 @@ def _finite(fn):
     return wrapper
 
 
+# M chi below which dirichlet_closed, for chi < 1.2, reads the odd-d kernel
+# off its series about the origin: the d = 5 closed form, a difference of
+# Shannon-kernel derivatives over sinh^2 and sinh^3, cancels there like
+# 1e-16/(M chi)^2 (2.8e-9 at M chi = 3e-4), and d = 3 divides subnormals at
+# the smallest chi. The Shannon kernels switch to their own series at the
+# same 0.5.
+_CLOSED_ORIGIN = 0.5
+
+
 @_float_or_array
 @_finite
 def dirichlet_closed(kp, chi):
     """Closed forms in d = 1, 3, 5, at a float chi or on an ndarray of them.
     Where sinh chi (d = 3) or sinh^3 chi (d = 5) would overflow, they are
-    formed e^-chi-scaled and the scale is put back at the end."""
+    formed e^-chi-scaled and the scale is put back at the end. Toward the
+    origin (chi < 1.2 and M chi < _CLOSED_ORIGIN) both take the recursion's
+    series about the origin, where the closed forms cancel."""
     chi = np.abs(chi)
     d = kp.spectral.d
     R = kp.spectral.R
@@ -183,14 +194,19 @@ def dirichlet_closed(kp, chi):
         return 2.0 * shannon_delta(M, chi) / R
     if d == 3:
         s, _, big = _sinh_cosh(chi, _HYPERBOLIC_MAX)
-        return _unscale(-2.0 * _delta1(M, chi) / (kp.spectral.Rd * s), chi, big, 1)
-    if d == 5:
+        value = _unscale(-2.0 * _delta1(M, chi) / (kp.spectral.Rd * s), chi, big, 1)
+    elif d == 5:
         s, c, big = _sinh_cosh(chi, _HYPERBOLIC_MAX / 3.0)
         value = (2.0 / (3.0 * kp.spectral.Rd)) * (_delta2(M, chi) / (s * s)
                                                   - c * _delta1(M, chi) / _power(s, 3))
-        return _unscale(value, chi, big, 2)
-    raise DomainError(
-        "closed form available for d in {1,3,5}; use dirichlet_quadrature or dirichlet_recursion")
+        value = _unscale(value, chi, big, 2)
+    else:
+        raise DomainError(
+            "closed form available for d in {1,3,5}; use dirichlet_quadrature or dirichlet_recursion")
+    origin = chi < min(1.2, _CLOSED_ORIGIN / M)
+    if origin.any():
+        value[origin] = _origin_value(kp, chi[origin])
+    return value
 
 
 def dirichlet_d2(kp, y):
@@ -299,19 +315,41 @@ def _odd_recursion(kp, chi):
     value = np.empty_like(chi)
     origin = (chi < 1.2) & (M * chi < 6.0)
     if origin.any():
-        w = chi[origin] * chi[origin]
-        v = 0.0
-        for c in reversed(_origin_series(M, k)):
-            v = v * w + c
-        value[origin] = v
+        value[origin] = _origin_value(kp, chi[origin])
     rest = ~origin
     if rest.any():
-        value[rest] = _point_series(M, chi[rest], k)
+        value[rest] = _odd_prefactor(kp) * _point_series(M, chi[rest], k)
+    return value
+
+
+def _odd_prefactor(kp):
+    """2 (-1)^k / ((2k-1)!! R^d), k = (d-1)/2: the factor that makes
+    (hat A)^k [sin(M t)/(pi t)] the odd-d kernel."""
+    k = (kp.spectral.d - 1) // 2
     dfact = 1.0
     for j in range(1, k + 1):
         dfact *= 2 * j - 1
-    pref = 2.0 * (-1.0) ** k / (dfact * kp.spectral.Rd)
-    return pref * value
+    return 2.0 * (-1.0) ** k / (dfact * kp.spectral.Rd)
+
+
+def _origin_value(kp, chi):
+    """The odd-d kernel on a 1-d ndarray of chi < 1.2, by Horner's rule on
+    its series in chi^2 about the origin: point by point for a few points,
+    where a pass over the array per coefficient would cost about 100 us."""
+    coeffs = _origin_series(kp.M, (kp.spectral.d - 1) // 2)[::-1]
+    if chi.size <= 8:
+        v = np.empty_like(chi)
+        for i, x in enumerate(chi.tolist()):
+            w, s = x * x, 0.0
+            for c in coeffs:
+                s = s * w + c
+            v[i] = s
+    else:
+        w = chi * chi
+        v = 0.0
+        for c in coeffs:
+            v = v * w + c
+    return _odd_prefactor(kp) * v
 
 
 def dirichlet_recursion(kp, chi):

@@ -11,12 +11,29 @@ sum (or the sum of term moduli) it meets and reports the realized
 cancellation as a relative estimate. The nearer series is tried first, the
 other only where the first does not certify, and the value with the smaller
 estimate is kept. No path runs quadrature.
+
+Module state: each thread has one slot per series (threading.local, so no
+lock is needed; the package itself starts no threads). A slot holds the
+chi-free part of its series at one key: the Harish-Chandra slot, keyed by
+(rho, lam), the Gamma_k, dGamma_k/dlam, their moduli and the prefactor's
+log-gamma terms; the 2F1 slot, keyed by (a, b, c), the term ratios
+(a+n)(b+n)/((c+n)(n+1)). A slot starts recording on the second call in a
+row at a key, so a stream of new keys (a quadrature over lam) pays nothing,
+and it is replaced on the second call in a row at another key. It grows in
+doubling steps as calls need more terms, up to _SLOT_MAX_TERMS (about 1 MB
+for the two slots); past that the terms are computed without being kept.
+The sums read the slot with the same floating-point operations, in the same
+order, as they compute them, so no value depends on the slot's state. Keys
+compare with ==, so lam = 0.0 and -0.0 share a slot; their terms differ
+only in the signs of zero imaginary parts, which no value reads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
+from itertools import islice
 
 import scipy.special
 
@@ -28,6 +45,42 @@ __all__ = [
     "bessel_j",
     "spherical_bessel",
 ]
+
+# Bound on the terms one slot records; past it a series computes its terms
+# without keeping them. 4000 is the 2F1's cap, so its slot always suffices.
+_SLOT_MAX_TERMS = 4000
+
+
+class _Slot:
+    """The chi-free coefficients of one series at one key: terms, as
+    recorded; state, what extends them (the Harish-Chandra recurrence at the
+    last recorded k); const, the Harish-Chandra prefactor's chi-free parts."""
+
+    def __init__(self):
+        self.key = self.last = self.const = None
+        self.terms, self.state = [], None
+
+    def holds(self, key):
+        """Whether the terms are key's: true where the slot holds key, and on
+        the second call in a row at a new key, which starts its record (the
+        first call records nothing, so a stream of new keys pays nothing)."""
+        last, self.last = self.last, key
+        if key == self.key:
+            return True
+        if key != last:
+            return False
+        self.key, self.const, self.terms, self.state = key, None, [], None
+        return True
+
+
+class _Slots(threading.local):
+    def __init__(self):
+        self.hc = _Slot()
+        self.f21 = _Slot()
+
+
+_SLOTS = _Slots()
+
 
 def _lam_over_sinh(x):
     """x / sinh(x), continuous through x = 0."""
@@ -77,12 +130,43 @@ def gamma_modulus_sq(kind, lam, k=None):
 
 def _series_2f1(a, b, c, z, max_terms):
     """Plain power series. Returns (sum, max |partial|, converged); a sum
-    whose terms overflow has not converged."""
+    whose terms overflow has not converged. The term ratios
+    (a+n)(b+n)/((c+n)(n+1)) are read from the thread's 2F1 slot where it
+    holds (a, b, c)."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     maxpart = 1.0
     small_streak = 0
-    for n in range(max_terms):
+    start = 0
+    slot = _SLOTS.f21
+    if slot.holds((a, b, c)):
+        ratios = slot.terms
+        while True:
+            stop = min(max_terms, len(ratios))
+            for r in islice(ratios, start, stop):
+                try:
+                    term *= r * z
+                    total += term
+                    at = abs(term)
+                    ap = abs(total)
+                except OverflowError:
+                    return total, math.inf, False
+                if at > maxpart:
+                    maxpart = at
+                if ap > maxpart:
+                    maxpart = ap
+                if at <= 1e-16 * (1e-300 if ap < 1e-300 else ap):
+                    small_streak += 1
+                    if small_streak >= 2:
+                        return total, maxpart, True
+                else:
+                    small_streak = 0
+            start = stop
+            if stop == max_terms or stop == _SLOT_MAX_TERMS:
+                break
+            ratios.extend((a + n) * (b + n) / ((c + n) * (n + 1.0))
+                          for n in range(stop, min(2 * stop + 16, max_terms, _SLOT_MAX_TERMS)))
+    for n in range(start, max_terms):
         try:
             term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
             total += term
@@ -94,7 +178,7 @@ def _series_2f1(a, b, c, z, max_terms):
             maxpart = at
         if ap > maxpart:
             maxpart = ap
-        if at <= 1e-16 * max(ap, 1e-300):
+        if at <= 1e-16 * (1e-300 if ap < 1e-300 else ap):
             small_streak += 1
             if small_streak >= 2:
                 return total, maxpart, True
@@ -128,6 +212,35 @@ _HC_MAX_TERMS = 100_000
 _HC_MIN_DECAY = 20.0
 
 
+def _hc_extend(slot, rho, il, n):
+    """Record (Gamma_k, dGamma_k/dlam, their moduli, the larger modulus) in
+    the slot up to k = n - 1, continuing the recurrence from slot.state. The
+    terms and the state change together, or not at all if a step raises."""
+    g, dg, s, ds = slot.state
+    new = []
+    for k in range(len(slot.terms), n):
+        mu = il - rho - 2.0 * (k - 1)
+        s, ds = s + mu * g, ds + 1j * g + mu * dg
+        g = -rho * s / (k * (k - il))
+        dg = (-rho * ds + 1j * k * g) / (k * (k - il))
+        ag, adg = abs(g), abs(dg)
+        new.append((g, dg, ag, adg, adg if adg > ag else ag))
+    slot.terms += new
+    slot.state = g, dg, s, ds
+
+
+def _hc_constants(rho, lam, il):
+    """The chi-free parts of the Harish-Chandra prefactor: log of
+    e^{-i lam chi} A e^{rho chi} / (i lam), |log Gamma(1 + i lam)|,
+    |log Gamma(rho + i lam)| and, at lam = 0, psi(1) - psi(rho)."""
+    lg1 = scipy.special.loggamma(1.0 + il)
+    lg2 = scipy.special.loggamma(rho + il)
+    log_pref = ((2.0 * rho - 1.0) * math.log(2.0) + math.lgamma(rho + 0.5)
+                - 0.5 * math.log(math.pi) + lg1 - lg2)
+    dlog = None if lam > 0.0 else scipy.special.digamma(1.0) - scipy.special.digamma(rho)
+    return log_pref, abs(lg1), abs(lg2), dlog
+
+
 def _harish_chandra(rho, lam, chi):
     """phi = 2 Re[c(lam) Phi_lam] (Helgason, Groups and Geometric Analysis,
     ch. IV; Koornwinder 1984) with Phi_lam = e^{(i lam - rho) chi} sum_k
@@ -139,7 +252,9 @@ def _harish_chandra(rho, lam, chi):
     the realized cancellation of the term moduli, times the size of the
     phases whose rounding the value carries; inf where the about
     40/chi + 100 terms, at most _HC_MAX_TERMS + 100, do not converge, decided
-    before the loop where the cap leaves too few."""
+    before the loop where the cap leaves too few. The Gamma_k and the
+    prefactor's chi-free parts are read from the thread's Harish-Chandra slot
+    where it holds (rho, lam)."""
     n_terms = int(min(40.0 / chi, _HC_MAX_TERMS)) + 100
     if 2.0 * chi * n_terms < _HC_MIN_DECAY:
         return math.nan, math.inf
@@ -148,39 +263,76 @@ def _harish_chandra(rho, lam, chi):
     g, dg, s, ds = 1.0 + 0.0j, 0.0j, 0.0j, 0.0j   # Gamma_k, the running sum, d/dlam of each
     total, dtotal, absum, dabsum, qk = g, dg, 1.0, 0.0, 1.0
     small_streak = 0
-    for k in range(1, n_terms):
-        mu = il - rho - 2.0 * (k - 1)
-        s, ds = s + mu * g, ds + 1j * g + mu * dg
-        g = -rho * s / (k * (k - il))
-        dg = (-rho * ds + 1j * k * g) / (k * (k - il))
-        qk *= q
-        total += g * qk
-        dtotal += dg * qk
-        absum += abs(g) * qk
-        dabsum += abs(dg) * qk
-        if max(abs(g), abs(dg)) * qk <= 1e-17 * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                break
+    start, converged = 1, False
+    slot = _SLOTS.hc
+    recorded = slot.holds((rho, lam))
+    if recorded:
+        if not slot.terms:
+            slot.terms.append(None)          # Gamma_0 = 1 starts the sums
+            slot.state = g, dg, s, ds
+        terms = slot.terms
+        while True:
+            stop = min(n_terms, len(terms))
+            for tg, tdg, ag, adg, mx in islice(terms, start, stop):
+                qk *= q
+                total += tg * qk
+                dtotal += tdg * qk
+                absum += ag * qk
+                dabsum += adg * qk
+                if mx * qk <= 1e-17 * abs(total):
+                    small_streak += 1
+                    if small_streak >= 2:
+                        break
+                else:
+                    small_streak = 0
+            else:
+                start = stop
+                if stop == n_terms or stop == _SLOT_MAX_TERMS:
+                    g, dg, s, ds = slot.state
+                    break
+                _hc_extend(slot, rho, il, min(2 * stop + 16, n_terms, _SLOT_MAX_TERMS))
+                continue
+            converged = True
+            break
+    if not converged:
+        for k in range(start, n_terms):
+            mu = il - rho - 2.0 * (k - 1)
+            s, ds = s + mu * g, ds + 1j * g + mu * dg
+            g = -rho * s / (k * (k - il))
+            dg = (-rho * ds + 1j * k * g) / (k * (k - il))
+            qk *= q
+            total += g * qk
+            dtotal += dg * qk
+            ag, adg = abs(g), abs(dg)
+            absum += ag * qk
+            dabsum += adg * qk
+            if (adg if adg > ag else ag) * qk <= 1e-17 * abs(total):
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
         else:
-            small_streak = 0
+            return math.nan, math.inf
+    if not recorded:
+        consts = _hc_constants(rho, lam, il)
+    elif slot.const is None:
+        consts = slot.const = _hc_constants(rho, lam, il)
     else:
-        return math.nan, math.inf
-    lg1 = scipy.special.loggamma(1.0 + il)
-    lg2 = scipy.special.loggamma(rho + il)
-    pref = cmath.exp((2.0 * rho - 1.0) * math.log(2.0) + math.lgamma(rho + 0.5)
-                     - 0.5 * math.log(math.pi) + lg1 - lg2 + (il - rho) * chi)
+        consts = slot.const
+    log_pref, alg1, alg2, dlog = consts
+    pref = cmath.exp(log_pref + (il - rho) * chi)
     if lam > 0.0:
         val = 2.0 * (pref * total).imag / lam
         spread = 2.0 * abs(pref) * absum / lam
     else:
         # at lam = 0 A and Phi are real, and d/dlam log(A e^{i lam chi}) is i dlog
-        dlog = scipy.special.digamma(1.0) - scipy.special.digamma(rho) + chi
+        dlog = dlog + chi
         val = 2.0 * pref.real * (dlog * total.real + dtotal.imag)
         spread = 2.0 * pref.real * (abs(dlog) * absum + dabsum)
     if spread == 0.0:
         return 0.0, 0.0          # below the smallest subnormal whatever cancels
-    return val, _estimate(val, (1.0 + lam * chi + abs(lg1) + abs(lg2)) * spread)
+    return val, _estimate(val, (1.0 + lam * chi + alg1 + alg2) * spread)
 
 
 def _hypergeometric(rho, lam, chi):

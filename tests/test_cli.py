@@ -80,6 +80,16 @@ class TestGoldenValues:
             chi, D = (float(tok) for tok in row.split(","))
             assert D == pytest.approx(dirichlet_closed(kp, chi), rel=1e-15)
 
+    def test_kernel_closed_toward_the_origin(self, capsys):
+        # the d = 5 closed form cancelled here and printed 0, 4 and 4.125
+        rc = main(["kernel", "--d", "5", "--M", "3", "--chi", "1e-9:1e-7:3",
+                   "--method", "closed"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row.split(",")[1]) == pytest.approx(4.0743665431525, rel=1e-12)
+
     def test_method_cross_agreement(self, capsys):
         base = ["kernel", "--d", "3", "--M", "20", "--chi", "0.5:2:4"]
         outs = {}

@@ -153,6 +153,18 @@ class TestOrigin:
         assert extrapolate_limit(pts) == pytest.approx(
             dirichlet_origin_odd(kp), abs=1e-8)
 
+    @pytest.mark.parametrize("d", (3, 5))
+    @pytest.mark.parametrize("M", (0.5, 3.0, 40.0, 100.0))
+    def test_closed_forms_toward_the_origin(self, d, M):
+        # the d = 5 closed form cancels like 1e-16/(M chi)^2 (at M = 3 it
+        # gave 0.0 at chi = 1e-9), and d = 3 gave 6.0 at 5e-324 for 5.7296
+        kp = KernelParams(SpectralParams(d), M)
+        for chi in (1e-2, 1e-4, 1e-6, 1e-9, 5e-324):
+            assert dirichlet_closed(kp, chi) == pytest.approx(
+                dirichlet_recursion(kp, chi), rel=1e-12, abs=0.0)
+        assert dirichlet_closed(kp, 5e-324) == pytest.approx(
+            dirichlet_origin_odd(kp), rel=1e-12, abs=0.0)
+
     def test_even_dimension_rejected(self):
         with pytest.raises(DomainError):
             dirichlet_origin_odd(KernelParams(SpectralParams(4), 5.0))

@@ -4,10 +4,12 @@ import random
 import mpmath as mp
 import pytest
 
+from hyperdirichlet import specfun
 from hyperdirichlet.errors import ConvergenceError, DomainError, PoleError
 from hyperdirichlet.specfun import (bessel_j, conical_p0, gamma_modulus_sq,
                                     spherical_bessel, _estimate, _harish_chandra,
-                                    _max_terms_for, _phi_core, _series_2f1)
+                                    _hypergeometric, _max_terms_for, _phi_core,
+                                    _series_2f1)
 from hyperdirichlet.spherical import SpectralParams, phi
 
 
@@ -163,6 +165,106 @@ class TestHarishChandra:
         # the terms of the plain 2F1 series overflow abs() here
         assert phi(SpectralParams(4), 1000.0, 0.9) == pytest.approx(
             phi_mpmath(4, 1000.0, 0.9), rel=1e-9, abs=0.0)
+
+
+def _outcome(fn, *args):
+    """fn(*args) as hex floats, or the exception it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:       # compared with the cold call, not handled
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        return tuple(x.hex() if isinstance(x, float) else repr(x) for x in out)
+    return float(out).hex()
+
+
+class TestSlots:
+    # phi's two series keep their chi-free coefficients in one slot each;
+    # every call, in every order, must give the bits of a call on cold slots
+    @pytest.fixture(autouse=True)
+    def fresh_slots(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_SLOTS", specfun._Slots())
+
+    def run(self, calls):
+        for fn, *args in calls:
+            warm = _outcome(fn, *args)
+            saved, specfun._SLOTS = specfun._SLOTS, specfun._Slots()
+            try:
+                cold = _outcome(fn, *args)
+            finally:
+                specfun._SLOTS = saved
+            assert warm == cold, (fn.__name__, args)
+            for slot in (saved.hc, saved.f21):
+                assert len(slot.terms) <= specfun._SLOT_MAX_TERMS
+
+    CHIS = (0.05, 0.3, 0.9, 1.4, 2.5, 6.0, 15.0)
+
+    @pytest.mark.parametrize("d", (2, 4, 5, 6, 10, 20))
+    def test_same_lambda_repeated(self, d):
+        rho = 0.5 * (d - 1)
+        self.run([(_phi_core, rho, 3.7, chi) for chi in self.CHIS + self.CHIS[::-1]])
+
+    @pytest.mark.parametrize("d", (2, 4, 5, 6, 10, 20))
+    def test_alternating_lambda(self, d):
+        rho = 0.5 * (d - 1)
+        lams = (0.4, 250.0) * len(self.CHIS)
+        self.run([(_phi_core, rho, lam, chi) for lam, chi in zip(lams, self.CHIS * 2)]
+                 + [(_phi_core, rho, lam, chi) for lam in (0.4, 250.0) for chi in self.CHIS])
+
+    def test_same_lambda_at_two_rho(self):
+        self.run([(_phi_core, rho, 2.0, chi) for chi in self.CHIS for rho in (1.5, 2.5)]
+                 + [(_phi_core, rho, 2.0, chi) for rho in (1.5, 2.5) for chi in self.CHIS])
+
+    @pytest.mark.parametrize("d", (2, 4, 5, 6, 10, 20))
+    def test_lambda_zero_then_minus_zero(self, d):
+        # lam = 0 takes the dGamma/dlam path; 0.0 and -0.0 share a slot
+        rho = 0.5 * (d - 1)
+        self.run([(_phi_core, rho, lam, chi) for lam in (0.0, 0.0, -0.0, -0.0, 0.0)
+                  for chi in self.CHIS])
+
+    def test_conical_p0(self):
+        ys = (1.001, 1.3, 2.0, 4.0, 30.0, 1e4)
+        self.run([(conical_p0, mu, y) for mu in (1.5, 1.5, -1.5, 0.0, 7.0) for y in ys]
+                 + [(conical_p0, mu, y) for y in ys for mu in (1.5, 7.0)])
+
+    def test_after_a_convergence_error(self):
+        # phi(4, 1e9, 1e-7): the 2F1 does not converge in 400 terms and the
+        # Harish-Chandra pass is refused
+        calls = [(_phi_core, 1.5, 1e9, chi) for chi in (1e-7, 1e-7, 0.5, 1e-7, 3.0)]
+        self.run(calls + [(_phi_core, 1.5, 2.0, 0.5)] + calls)
+        assert _outcome(_phi_core, 1.5, 1e9, 1e-7)[0] == "ConvergenceError"
+
+    def test_after_a_refused_or_unconverged_harish_chandra_pass(self, monkeypatch):
+        # the refused pass returns before the slot; run anyway, the unconverged
+        # one records the slot up to its bound and computes its 100,100 terms
+        # past it, and a later pass at the same key reads what it kept
+        chi = 0.99 * specfun._HC_MIN_DECAY / (2.0 * (specfun._HC_MAX_TERMS + 100))
+        self.run([(_harish_chandra, 0.5, 1.0, x) for x in (chi, chi, 2.0, chi, 0.05)])
+        monkeypatch.setattr(specfun, "_HC_MIN_DECAY", 0.0)
+        self.run([(_harish_chandra, 0.5, 1.0, x) for x in (chi, chi, 2.0, 5e-4, 0.05)])
+        assert _outcome(_harish_chandra, 0.5, 1.0, chi)[1] == "inf"
+
+    def test_past_the_recorded_bound(self):
+        # about 80,000 Harish-Chandra terms and 6000 2F1 terms, past the
+        # slots' 4000; then a budget shorter than the record
+        self.run([(_harish_chandra, 1.5, 1e5, chi) for chi in (5e-4, 5e-4, 1e-3, 0.5)])
+        self.run([(_series_2f1, 1.5, 1.5, 1.0, w, n) for w, n in
+                  ((0.999, 6000), (0.999, 6000), (0.9999, 6000), (0.3, 400), (0.9999, 400))])
+
+    def test_each_thread_has_its_own_slots(self):
+        import threading
+        self.run([(_phi_core, 1.5, 3.0, 2.0)] * 2)
+        seen = []
+        t = threading.Thread(target=lambda: seen.append(specfun._SLOTS.hc.key))
+        t.start()
+        t.join(timeout=60.0)
+        assert not t.is_alive()
+        assert seen == [None] and specfun._SLOTS.hc.key == (1.5, 3.0)
+
+    def test_after_a_2f1_overflow(self):
+        # the terms of the plain 2F1 series overflow abs() at (4, 1000, 0.9)
+        self.run([(_phi_core, 1.5, 1000.0, chi) for chi in (0.9, 0.9, 0.3, 0.9, 1.5)])
+        assert _hypergeometric(1.5, 1000.0, 0.9)[1] == math.inf
 
 
 class TestBessel:

@@ -7,6 +7,7 @@ import pytest
 from hyperdirichlet.errors import DomainError, EnvelopeError, GridError
 from hyperdirichlet.spherical import SpectralParams
 from hyperdirichlet.kernel import KernelParams, dirichlet_d2, dirichlet_quadrature
+from hyperdirichlet.specfun import conical_p0
 from hyperdirichlet.transform import (RadialFunction, SpectrumTable,
                                       DecayEnvelope, fh_forward, fh_inverse,
                                       spectrum_table, partial_sum,
@@ -463,6 +464,18 @@ class TestProductFormulaAndConvolution:
 
         ref, _ = dblquad(inner, 1.0, 30.0, 0.0, math.pi, epsabs=1e-10)
         assert ours == pytest.approx(ref, abs=1e-6)
+
+    @pytest.mark.parametrize("mu,x,ref", (
+        (1.0, 1.4, 0.49277489008574255365),
+        (1.5, 1.7, 0.14600550078752885614),
+        (2.0, 2.0, -0.015344112263437937993)))
+    def test_convolve_with_a_conical_function(self, mu, x, ref):
+        # product formula: (f * P_mu)(x) = fhat(mu) P_mu(x), and the index
+        # transform of e^{-(y-1)} is e sqrt(2/pi) K_{i mu}(1); each reference
+        # is that product in 25-digit mpmath
+        f = lambda y: math.exp(-(y - 1.0))
+        got = convolve(f, lambda z: conical_p0(mu, z), x, EXP_ENV)
+        assert got == pytest.approx(ref, rel=0.0, abs=1e-10)
 
     def test_band_kernel_convolution_recovers_f(self):
         # (f * D_M^{(2)})(x) -> f(x): fixes the constant in the spectral
