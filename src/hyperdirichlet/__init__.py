@@ -13,7 +13,6 @@ from .errors import (
     ConvergenceError,
     QuadratureError,
     EnvelopeError,
-    GridError,
 )
 from .numerics import (
     QuadratureSpec,

@@ -164,14 +164,12 @@ def _cmd_transform(args):
         return table.to_csv()
     if args.action == "inverse":
         f = make_test_function(args.f, args.a)
-        grid = _parse_grid(args.lam)
-        table = spectrum_table(f, pa, grid)
-        rows = [(chi, fh_inverse(table, chi, grid[-1])) for chi in _parse_grid(args.chi)]
+        lam_max = _parse_grid(args.lam)[-1]
+        rows = [(chi, fh_inverse(f, pa, chi, lam_max)) for chi in _parse_grid(args.chi)]
         return _emit(args, ("chi", "f"), rows)
     if args.action == "parseval":
         f = make_test_function(args.f, args.a)
-        grid = _parse_grid(args.lam)
-        nf, ns = parseval_check(f, pa, grid[-1])
+        nf, ns = parseval_check(f, pa, _parse_grid(args.lam)[-1])
         rec = {"norm_f": nf, "norm_spectral": ns,
                "relative_difference": abs(nf - ns) / max(nf, 1e-300)}
         if args.format == "json":
@@ -252,7 +250,9 @@ def _build_parser():
                     choices=("forward", "inverse", "parseval", "mehler-fock"))
     sp.add_argument("--f", default="bump")
     sp.add_argument("--a", type=float, default=1.0)
-    sp.add_argument("--lambda", dest="lam", default="0:20:81")
+    sp.add_argument("--lambda", dest="lam", default="0:20:81",
+                    help="forward: the lambda grid; inverse and parseval: only its end, "
+                         "the band limit")
     sp.add_argument("--chi", default="0.1:2:5")
     sp.add_argument("--mu", default="0:10:11")
     sp.set_defaults(run=_cmd_transform)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .numerics import extrapolate_limit, pointwise
 from .kernel import shannon_delta, _delta1
-from .transform import (DecayEnvelope, _abel_partial_sum, _chi_oscillatory, _index_weight,
+from .transform import (DecayEnvelope, _chi_oscillatory, _index_weight, _spectral_side,
                         _mf_profile, _radial_abel_profile, mehler_fock_inverse, partial_sum)
 
 __all__ = [
@@ -106,7 +106,7 @@ def converge_at_origin(f, params, M_schedule, target, tol):
         sums = [partial_sum(f, params, M) for M in schedule]
     else:
         prof = _radial_abel_profile(f, params.rho)
-        sums = [_abel_partial_sum(prof, params, M) for M in schedule]
+        sums = [_spectral_side(prof, params, M) for M in schedule]
     return _assemble_report(schedule, sums, target, tol)
 
 

@@ -36,7 +36,3 @@ class QuadratureError(ConvergenceError):
 
 class EnvelopeError(DomainError):
     """A declared decay envelope cannot bound the integral tail below tolerance."""
-
-
-class GridError(HyperDirichletError):
-    """A sampled spectrum grid is too coarse for the requested accuracy."""

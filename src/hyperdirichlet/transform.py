@@ -1,16 +1,17 @@
 """Fourier-Helgason transform pair, spherical partial sums, Parseval check,
 and the d = 2 Mehler-Fock transform with hyperbolic translation/convolution.
 
-d = 2 spectra, all d = 2 index integrals and every even-d partial sum route
-through the Abel transform of exponent rho - 1 (Koornwinder 1984): the
+The spectral side of a radial function, and every d = 2 index integral,
+routes through the Abel transform of exponent rho - 1 (Koornwinder 1984): the
 spherical transform of f is C_rho times a cosine transform of the profile
-F(t) = int_{cosh t} f(y) (y - cosh t)^{rho-1} dy, y = cosh chi. F is
-sampled once per function, on Chebyshev pieces that double until they
-resolve it, and each index then costs one dot product with a cached
-Gauss-Legendre rule. An even-d partial sum at the origin is the integral of
-those moments against the Plancherel density over [0, M]; odd d keeps its
-closed-form and recursion kernels, and fh_forward and spectrum_table keep
-phi in every d != 2.
+F(t) = int_{cosh t} f(y) (y - cosh t)^{rho-1} dy, y = cosh chi (F = f itself
+at d = 1). F is sampled once per function, on Chebyshev pieces that double
+until they resolve it, and each index then costs one dot product with a
+cached Gauss-Legendre rule. The inverse transform at chi is the integral of
+those moments times phi_lam(chi) against the Plancherel density over [0, M];
+at chi = 0 it is the even-d partial sum, and Parseval's spectral norm
+integrates their squares. Odd d keeps its closed-form and recursion kernels
+for partial sums, and fh_forward and spectrum_table keep phi in every d != 2.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, EnvelopeError, GridError, QuadratureError
+from .errors import DomainError, EnvelopeError, QuadratureError
 from .numerics import (QuadratureSpec, integrate, integrate_cells, integrate_split, pointwise,
                        split_points)
 from .spherical import SpectralParams, _phi_array
@@ -115,22 +115,6 @@ class SpectrumTable:
             out.write(f"{lam:.17g},{v:.17g}\n")
         return out.getvalue()
 
-    @classmethod
-    def from_csv(cls, text, params):
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0].strip() != "lambda,fhat":
-            raise DomainError("expected header 'lambda,fhat'")
-        grid = []
-        vals = []
-        for ln in lines[1:]:
-            try:
-                s1, s2 = ln.split(",")
-                grid.append(float(s1))
-                vals.append(float(s2))
-            except ValueError:
-                raise DomainError(f"malformed spectrum row {ln!r}") from None
-        return cls(tuple(grid), tuple(vals), params)
-
 
 @dataclass(frozen=True)
 class DecayEnvelope:
@@ -175,10 +159,6 @@ def _chi_oscillatory(f, lam, lo, hi, abs_tol=1e-11, rel_tol=1e-11):
     return integrate_split(f, cuts, spec).value
 
 
-# Tolerance and budget of each cell of a spectral sampling grid.
-_GRID_CELL_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=50)
-
-
 def _sinh_power(chi, n):
     """sinh(chi) ** n on an ndarray, rounded as the scalar functions round.
     DomainError where it overflows."""
@@ -208,8 +188,10 @@ def fh_forward(f, params, lam):
 # doubles to before the piece is split.
 _CHEB_START = 16
 _CHEB_MAX = 128
-# Tolerance of the profile's Chebyshev tails, that of each of its rows.
+# Tolerance of the profile's Chebyshev tails, that of each of its first rows,
+# and the share of the largest row so far to which later rows are resolved.
 _ABEL_ROW_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=400)
+_ABEL_ROW_SHARE = 1e-15
 # Rows one profile may sample before it gives up on a profile that no
 # splitting resolves.
 _ABEL_MAX_ROWS = 8192
@@ -245,8 +227,9 @@ class _AbelCosineProfile:
           = C_rho int_0^T F(t) cos(mu t) dt,
     C_rho = 2^{rho-1/2} Gamma(rho+1/2) sqrt(2/pi) / Gamma(rho). At rho = 1/2,
     phi is the conical function P_{-1/2+i mu}, C_rho = sqrt(2)/pi, and the
-    left side is int_1^{cosh T} P_{-1/2+i mu}(y) f(y) dy. rows(ts, breaks)
-    samples F at an ndarray of t, given the chi-breakpoints inside (0, T); it
+    left side is int_1^{cosh T} P_{-1/2+i mu}(y) f(y) dy. At rho = 0 (d = 1)
+    the kernel is not integrable: F is f itself, C = 1 and phi_mu = cos mu t.
+    rows(ts, spec) samples F at an ndarray of t, each row resolved to spec; it
     is not kept, so a profile cached under a weight function does not keep
     that function alive.
 
@@ -262,7 +245,7 @@ class _AbelCosineProfile:
     def __init__(self, rows, T, chi_breaks=(), rho=0.5):
         self.T = T
         # C_rho, as sqrt(2)/pi times a factor that is exactly 1 at rho = 1/2.
-        self._scale = math.sqrt(2.0) / math.pi * math.exp(
+        self._scale = 1.0 if rho == 0.0 else math.sqrt(2.0) / math.pi * math.exp(
             (rho - 0.5) * math.log(2.0) + math.lgamma(rho + 0.5) + math.lgamma(0.5)
             - math.lgamma(rho))
         breaks = sorted(b for b in chi_breaks if 0.0 < b < T)
@@ -275,6 +258,7 @@ class _AbelCosineProfile:
         # the first); all their new rows are sampled in one engine call.
         todo = [(lo, hi, None) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
         F_max = 0.0
+        spec = _ABEL_ROW_SPEC
         while todo:
             ts = []
             for lo, hi, vals in todo:
@@ -283,15 +267,25 @@ class _AbelCosineProfile:
                 if vals is not None:
                     x = x[1::2]
                 v = 0.5 * (1.0 + x)
-                ts.append(hi - (hi - lo) * v * v)
+                t = hi - (hi - lo) * v * v
+                if rho == 0.0 and vals is None:
+                    # F = f may jump at a breakpoint: each piece reads its
+                    # ends from inside.
+                    t[[0, -1]] = np.nextafter([lo, hi], [hi, lo])
+                ts.append(t)
             sizes = [t.size for t in ts]
             sampled += sum(sizes)
             if sampled > _ABEL_MAX_ROWS:
                 raise QuadratureError(
                     f"Abel profile unresolved after {_ABEL_MAX_ROWS} rows")
-            new_rows = np.split(rows(np.concatenate(ts), breaks), np.cumsum(sizes)[:-1])
+            sample = rows(np.concatenate(ts), spec)
+            # Later rows need no more than a share of the largest row so far:
+            # near t = T a row can carry more rounding than its own 1e-11.
+            spec = QuadratureSpec(
+                abs_tol=max(spec.abs_tol, _ABEL_ROW_SHARE * float(np.max(np.abs(sample)))),
+                rel_tol=spec.rel_tol, max_subdivisions=spec.max_subdivisions)
             todo_next = []
-            for (lo, hi, vals), new in zip(todo, new_rows):
+            for (lo, hi, vals), new in zip(todo, np.split(sample, np.cumsum(sizes)[:-1])):
                 if vals is None:
                     vals = new
                 else:
@@ -382,32 +376,19 @@ def _too_many_nodes(mu):
 
 def _weight_rows(f_of_y, y_max):
     """Rows of the rho = 1/2 Abel profile of a weight function f of y on
-    (1, y_max): F(t) = int_0^smax 2 f(cosh t + s^2) ds with s^2 = y - cosh t,
-    cut at the breakpoints past t: one row of cuts per t, a breakpoint at or
-    before t cutting at 0, and empty cells dropped. Every cell of every t is
-    resolved in one engine call."""
+    (1, y_max): F(t) = int_0^smax 2 f(cosh t + s^2) ds with s^2 = y - cosh t.
+    Every row is resolved in one engine call."""
     weight = pointwise(f_of_y)
 
-    def rows(ts, breaks):
+    def rows(ts, spec):
         ct = pointwise(math.cosh)(ts)
         smax_sq = y_max - ct
-        cuts = [np.zeros_like(ct)]
-        for b in breaks:
-            cuts.append(np.where(b > ts, np.sqrt(np.abs(math.cosh(b) - ct)), 0.0))
-        cuts.append(np.sqrt(np.abs(smax_sq)))
-        cuts = np.column_stack(cuts)
-        if (cuts[:, 1:] < cuts[:, :-1]).any():
-            cuts = np.sort(cuts, axis=1)
-        lo = cuts[:, :-1]
-        hi = cuts[:, 1:]
-        keep = (smax_sq > 0)[:, None] & (hi != lo)
-        owner = np.nonzero(keep)[0]
-        shift = ct[owner]
-        values = integrate_cells(lambda s, cell: 2.0 * weight(shift[cell] + s * s),
-                                 lo[keep], hi[keep], _ABEL_ROW_SPEC)[0]
-        # Each F(t) adds its cells left to right, from 0.
+        keep = smax_sq > 0
+        shift = ct[keep]
+        hi = np.sqrt(smax_sq[keep])
         Fs = np.zeros_like(ct)
-        np.add.at(Fs, owner, values)
+        Fs[keep] = integrate_cells(lambda s, cell: 2.0 * weight(shift[cell] + s * s),
+                                   np.zeros_like(hi), hi, spec)[0]
         return Fs
 
     return rows
@@ -421,11 +402,15 @@ def _radial_rows(f, rho):
     breakpoints past t. In y = cosh chi the profile f(acosh y) has a branch
     point at y = 1, a distance of about t from each row; Gauss-Kronrod then
     accepts rows 3e-13 off at an estimate of 1e-16, which the Plancherel
-    density amplifies about M^{2 rho} times in a partial sum."""
+    density amplifies about M^{2 rho} times in a partial sum. At rho = 0 the
+    rows are f itself."""
     profile = pointwise(f.profile)
     a = f.support_bound
+    breaks = f.breakpoints[1:-1]
 
-    def rows(ts, breaks):
+    def rows(ts, spec):
+        if rho == 0.0:
+            return profile(ts)
         cuts = np.column_stack([np.zeros_like(ts)]
                                + [np.sqrt(np.maximum(b - ts, 0.0)) for b in breaks]
                                + [np.sqrt(a - ts)])
@@ -445,7 +430,7 @@ def _radial_rows(f, rho):
                 raise DomainError(f"the Abel profile overflows at a = {a:g}")
             return value
 
-        values = integrate_cells(row, lo[keep], hi[keep], _ABEL_ROW_SPEC)[0]
+        values = integrate_cells(row, lo[keep], hi[keep], spec)[0]
         Fs = np.zeros_like(ts)
         np.add.at(Fs, owner, values)
         return Fs
@@ -454,30 +439,24 @@ def _radial_rows(f, rho):
 
 
 def _radial_abel_profile(f, rho=0.5):
-    """Abel profile of exponent rho - 1 of a RadialFunction on (0, a). At
-    rho = 1/2 it is read as a weight function of y = cosh chi on (1, cosh a);
-    DomainError where cosh a, or the kernel (cosh a - 1)^{rho-1} sinh a of a
-    larger rho, overflows."""
+    """Abel profile of exponent rho - 1 of a RadialFunction on (0, a), sampled
+    in chi; DomainError where the kernel (cosh a - 1)^{rho-1} sinh a
+    overflows."""
     a = f.support_bound
-    try:
-        # y_max at rho = 1/2, the kernel at (t, chi) = (0, a) past it
-        top = (math.cosh(a) if rho == 0.5
-               else (2.0 * math.sinh(0.5 * a) ** 2) ** (rho - 1.0) * math.sinh(a))
-    except OverflowError:
-        top = math.inf
-    if top == math.inf:
-        raise DomainError(f"the Abel profile overflows at a = {a:g}")
-    if rho == 0.5:
-        return _AbelCosineProfile(
-            _weight_rows(lambda y: f.profile(math.acosh(y)) if y > 1.0 else f.profile(0.0), top),
-            math.acosh(top), f.breakpoints[1:-1])
+    if rho > 0.0:
+        try:
+            top = (2.0 * math.sinh(0.5 * a) ** 2) ** (rho - 1.0) * math.sinh(a)
+        except OverflowError:
+            top = math.inf
+        if top == math.inf:
+            raise DomainError(f"the Abel profile overflows at a = {a:g}")
     return _AbelCosineProfile(_radial_rows(f, rho), a, f.breakpoints[1:-1], rho)
 
 
 def spectrum_table(f, params, lambda_grid):
     """Forward transform sampled on a grid. d = 2 uses the Abel reduction
-    (one cached profile for the whole grid); other dimensions loop the
-    direct quadrature."""
+    (one profile for the whole grid); other dimensions loop the direct
+    quadrature."""
     lambda_grid = tuple(float(x) for x in lambda_grid)
     if params.d == 2:
         Rd = params.Rd
@@ -488,76 +467,64 @@ def spectrum_table(f, params, lambda_grid):
     return SpectrumTable(lambda_grid, tuple(vals), params)
 
 
-def fh_inverse(table, chi, lambda_max):
-    """Truncated inverse transform from a sampled spectrum, with a grid
-    coarseness estimate from half-grid interpolation residuals."""
-    grid = np.array(table.lambda_grid)
-    vals = np.array(table.values)
-    if len(grid) < 8:
-        raise GridError("spectrum grid too short for interpolation")
-    interp = PchipInterpolator(grid, vals, extrapolate=False)
-    half = PchipInterpolator(grid[::2], vals[::2], extrapolate=False)
-    probe = grid[1:-1:2]
-    resid = float(np.max(np.abs(half(probe) - vals[1:-1:2])))
-    scale = float(np.max(np.abs(vals))) or 1.0
-    # The half-grid residual overestimates the full-grid error by roughly
-    # the 2^4 refinement factor of the cubic interpolant.
-    if resid > 1e-3 * scale:
-        raise GridError(
-            f"spectrum grid too coarse: interpolation residual {resid:.3g} "
-            f"exceeds 1e-3 * max|fhat|")
-    lam_hi = min(lambda_max, float(grid[-1]))
-    pa = table.params
-    density = pointwise(lambda lam: plancherel_density(pa, lam))
-
-    def g(lam):
-        return interp(lam) * _phi_array(pa, lam, chi) * density(lam)
-
-    # Integrate cell by cell along the sampling grid: the interpolant is only
-    # C^1 across nodes, so panels must not straddle them.
-    cells = [x for x in grid if x < lam_hi] + [lam_hi]
-    return integrate_split(g, cells, _GRID_CELL_SPEC).value
-
-
-# Cells of pi/T one partial sum from an Abel profile may take: M T up to
-# about 1600, about a second.
+# Cells one integral over the spectrum of an Abel profile may take: lambda T
+# up to about 1600 at the pi/T spacing of the moments, about a second.
 _MAX_SUM_CELLS = 512
 
 
-def _abel_partial_sum(prof, params, M):
-    """The spherical partial sum at the origin read off an Abel profile of
-    exponent rho - 1: int_0^M fhat(lam) density(lam) dlam with
-    fhat = R^d C_rho int_0^T F(t) cos(lam t) dt, cut at the pi/T spacing of
-    the moments' oscillation. DomainError past _MAX_SUM_CELLS cells."""
+def _spectral_integral(prof, params, lam_max, width, g, bound):
+    """int_0^lam_max g(lam) density(lam) dlam for a vectorized g of the cosine
+    moments of prof with |g| <= bound, cut every pi/width, the spacing of g's
+    oscillation. DomainError past _MAX_SUM_CELLS cells, or where R^d lam_max
+    times the integrand's peak overflows."""
     # Each cell takes at least 15 moments, each a dot product of about
-    # 16 M T / pi nodes, so the work grows like (M T)^2.
-    if not M * prof.T <= _MAX_SUM_CELLS * math.pi:
-        raise DomainError(f"the partial sum at M = {M:g} over (0, {prof.T:g}) needs more "
-                          f"than {_MAX_SUM_CELLS} cells")
+    # 16 lam T / pi nodes, so the work grows like (lam_max T)^2.
+    if not lam_max * width <= _MAX_SUM_CELLS * math.pi:
+        raise DomainError(f"the spectral integral to {lam_max:g} over (0, {prof.T:g}) needs "
+                          f"more than {_MAX_SUM_CELLS} cells")
     # The density grows with lam, so peak bounds the integrand and
-    # R^d M peak the sum.
-    peak = prof.moment_bound * plancherel_density(params, M)
-    if not max(peak, peak * M * params.Rd) < math.inf:
-        raise DomainError(f"the partial sum overflows at M = {M:g}")
+    # R^d lam_max peak the result.
+    peak = bound * plancherel_density(params, lam_max)
+    if not max(peak, peak * lam_max * params.Rd) < math.inf:
+        raise DomainError(f"the spectral integral overflows at lambda = {lam_max:g}")
     density = pointwise(lambda lam: plancherel_density(params, lam))
-    moment = pointwise(prof.cosine_moment)
-    cuts = split_points(0.0, M, math.pi / prof.T)
+    cuts = split_points(0.0, lam_max, math.pi / width)
     # No cell is resolved past the moments' rounding (positive where F = 0).
-    floor = 1e-15 * peak * math.pi / prof.T
+    floor = 1e-15 * peak * math.pi / width
     spec = QuadratureSpec(abs_tol=max(floor, 1e-300), rel_tol=1e-12, max_subdivisions=200)
-    return params.Rd * integrate_split(lambda lam: moment(lam) * density(lam), cuts, spec).value
+    return integrate_split(lambda lam: g(lam) * density(lam), cuts, spec).value
+
+
+def _spectral_side(prof, params, lam_max, chi=0.0):
+    """The band-limited inverse transform read off an Abel profile of
+    exponent rho - 1: R^d int_0^lam_max m(lam) phi_lam(chi) density(lam) dlam,
+    m the profile's cosine moment, so that R^d m = fhat. At chi = 0, where
+    phi = 1, it is the spherical partial sum S_M f(0). Cut at the
+    pi/(T + chi) spacing of the oscillation of m(lam) phi_lam(chi)."""
+    moment = pointwise(prof.cosine_moment)
+    g = moment if chi == 0.0 else lambda lam: moment(lam) * _phi_array(params, lam, chi)
+    return params.Rd * _spectral_integral(prof, params, lam_max, prof.T + chi, g,
+                                          prof.moment_bound)
+
+
+def fh_inverse(f, params, chi, lambda_max):
+    """Inverse Fourier-Helgason transform of a radial function at chi,
+    truncated to the band [0, lambda_max]; the spectrum is read off the Abel
+    profile of f. At chi = 0 it is the partial sum S_M f(0), at even d the
+    very value of partial_sum(f, params, lambda_max)."""
+    if not 0.0 <= chi < math.inf:
+        raise DomainError(f"fh_inverse requires a finite chi >= 0, got {chi}")
+    return _spectral_side(_radial_abel_profile(f, params.rho), params, lambda_max, chi)
 
 
 def partial_sum(f, params, M):
     """Spherical partial sum at the origin,
     R^d int_0^a f(chi) D_M^{(d)}(chi) sinh^{d-1}(chi) dchi: for odd d by
     the closed-form or recursion kernel, for even d from the Abel profile
-    of f (d = 2 through mehler_fock_inverse)."""
+    of f."""
     d = params.d
-    if d == 2:
-        return mehler_fock_inverse(_index_weight(_radial_abel_profile(f)), 1.0, M)
     if d % 2 == 0:
-        return _abel_partial_sum(_radial_abel_profile(f, params.rho), params, M)
+        return _spectral_side(_radial_abel_profile(f, params.rho), params, M)
     kp = KernelParams(params, M)
     if d in (1, 3, 5):
         kernel_at = lambda x: dirichlet_closed(kp, x)
@@ -575,46 +542,30 @@ def partial_sum(f, params, M):
     return Rd * total
 
 
-# Spacing of the lambda grid on which parseval_check samples the spectrum.
-_PARSEVAL_STEP = 0.25
+def parseval_check(f, params, lambda_max):
+    """(norm of f in the sinh measure, norm of fhat in the truncated
+    Plancherel measure); the two agree up to the spectral tail. fhat = R^d m
+    is read off the Abel profile of f, and fhat^2 integrated in cells of
+    pi/(2T). DomainError where either norm, or fhat^2, overflows."""
+    d = params.d
+    Rd = params.Rd
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=2000)
 
-
-def _norm(g, cuts, spec):
-    """integrate_split of the scalar, non-negative g, or inf where a value of
-    g overflows."""
-    def checked(x):
-        value = g(x)
+    def g(x):
+        value = f.profile(x) ** 2 * math.sinh(x) ** (d - 1)
         if value == math.inf:
             raise OverflowError
         return value
 
     try:
-        return integrate_split(pointwise(checked), cuts, spec).value
+        norm_f = Rd * integrate_split(pointwise(g), f.breakpoints, spec).value
     except OverflowError:
-        return math.inf
-
-
-def parseval_check(f, params, lambda_max):
-    """(norm of f in the sinh measure, norm of fhat in the truncated
-    Plancherel measure); the two agree up to the spectral tail. DomainError
-    where either overflows."""
-    d = params.d
-    Rd = params.Rd
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=2000)
-    norm_f = Rd * _norm(lambda x: f.profile(x) ** 2 * math.sinh(x) ** (d - 1),
-                        f.breakpoints, spec)
-
-    n = int(lambda_max / _PARSEVAL_STEP) + 1
-    grid = [j * _PARSEVAL_STEP for j in range(n + 1)]
-    table = spectrum_table(f, params, grid)
-    interp = PchipInterpolator(np.array(table.lambda_grid), np.array(table.values))
-
-    def g(lam):
-        return float(interp(lam)) ** 2 * plancherel_density(params, lam)
-
-    # Cell by cell along the sampling grid, as in fh_inverse.
-    cells = [x for x in table.lambda_grid if x < lambda_max] + [float(lambda_max)]
-    norm_spec = _norm(g, cells, _GRID_CELL_SPEC)
+        norm_f = math.inf
+    prof = _radial_abel_profile(f, params.rho)
+    moment = pointwise(prof.cosine_moment)
+    bound = Rd * prof.moment_bound
+    norm_spec = _spectral_integral(prof, params, lambda_max, 2.0 * prof.T,
+                                   lambda lam: (Rd * moment(lam)) ** 2, bound * bound)
     if not max(norm_f, norm_spec) < math.inf:
         raise DomainError(f"the Parseval norms overflow at d = {d}, a = {f.support_bound:g}")
     return norm_f, norm_spec

@@ -143,16 +143,26 @@ class TestGoldenValues:
         assert errs[0] > errs[1] > errs[2]
 
     def test_transform_inverse_matches_library(self, capsys):
+        # --lambda of inverse is read only for its end
         from hyperdirichlet.spherical import SpectralParams
-        from hyperdirichlet.transform import fh_inverse, spectrum_table
+        from hyperdirichlet.transform import fh_inverse
         rc = main(["transform", "--d", "3", "--action", "inverse", "--f", "bump",
                    "--lambda", "0:20:81", "--chi", "0.2:1:3"])
         assert rc == 0
         rows = [[float(tok) for tok in r.split(",")]
                 for r in capsys.readouterr().out.splitlines()[1:]]
-        grid = _parse_grid("0:20:81")
-        table = spectrum_table(make_test_function("bump", 1.0), SpectralParams(3), grid)
-        assert rows == [[chi, fh_inverse(table, chi, 20.0)] for chi in _parse_grid("0.2:1:3")]
+        f = make_test_function("bump", 1.0)
+        assert rows == [[chi, fh_inverse(f, SpectralParams(3), chi, 20.0)]
+                        for chi in _parse_grid("0.2:1:3")]
+
+    def test_transform_forward_d2_wide_support(self, capsys):
+        # fh_forward(exp-decay, d = 2, lambda = 0) at a = 100; the part past
+        # chi = 100 is below 1e-19
+        rc = main(["transform", "--d", "2", "--action", "forward", "--f", "exp-decay",
+                   "--a", "700", "--lambda", "0"])
+        assert rc == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(1.9452796579790868, rel=1e-12, abs=0.0)
 
     def test_limits_density_matches_library(self, capsys):
         from hyperdirichlet.cfunction import density_euclid_constant, density_euclid_limit
@@ -198,9 +208,8 @@ class TestErrorRecord:
             assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("argv,error", [
-        (["transform", "--d", "3", "--action", "inverse", "--lambda", "0:20:4"], "GridError"),
         (["limits", "--mode", "density", "--Rgrid", "40:10:3"], "ValueError"),
-    ], ids=("transform-inverse", "limits-density"))
+    ], ids=("limits-density",))
     def test_bad_grid_record(self, argv, error, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -398,7 +407,7 @@ class TestErrorContractProperties:
 
     @_FUZZ
     @given(action=st.sampled_from(["forward", "inverse", "parseval", "mehler-fock"]),
-           d=st.integers(2, 7), R=_RADII, f=_PROFILES, mu=_RADII, a=_SUPPORTS)
+           d=st.integers(1, 7), R=_RADII, f=_PROFILES, mu=_RADII, a=_SUPPORTS)
     def test_transform(self, action, d, R, f, mu, a):
         _assert_contract(["transform", "--d", str(d), "--R", repr(R), "--action", action,
                           "--f", f, "--a", repr(a), "--lambda", "0:5:9", "--chi", "0.5",

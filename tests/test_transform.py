@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
-from hyperdirichlet.errors import DomainError, EnvelopeError, GridError
+from hyperdirichlet.errors import DomainError, EnvelopeError
 from hyperdirichlet.spherical import SpectralParams
 from hyperdirichlet.kernel import KernelParams, dirichlet_d2, dirichlet_quadrature
 from hyperdirichlet.specfun import conical_p0
@@ -104,10 +104,8 @@ class TestRoundTrip:
     def test_d3_bump(self):
         pa = SpectralParams(3)
         f = bump()
-        grid = [0.25 * j for j in range(161)]  # lambda up to 40
-        table = spectrum_table(f, pa, grid)
         for chi in (0.2, 0.5, 1.2):
-            rec = fh_inverse(table, chi, 40.0)
+            rec = fh_inverse(f, pa, chi, 40.0)
             # the spectral tail beyond lambda = 40 is ~1e-4; that truncation
             # dominates the reconstruction error
             assert abs(rec - f(chi)) < 1e-3
@@ -115,50 +113,69 @@ class TestRoundTrip:
     def test_d2_bump(self):
         pa = SpectralParams(2)
         f = bump()
-        grid = [0.2 * j for j in range(151)]  # lambda up to 30
-        table = spectrum_table(f, pa, grid)
-        rec = fh_inverse(table, 0.5, 30.0)
+        rec = fh_inverse(f, pa, 0.5, 30.0)
         assert abs(rec - f(0.5)) < 1e-3
 
-    def test_grid_too_short(self):
-        pa = SpectralParams(3)
-        table = SpectrumTable((0.0, 1.0, 2.0, 3.0), (1.0, 0.5, 0.2, 0.1), pa)
-        with pytest.raises(GridError):
-            fh_inverse(table, 0.5, 3.0)
 
-    def test_grid_too_coarse(self):
-        pa = SpectralParams(3)
-        f = bump()
-        grid = [2.5 * j for j in range(13)]  # step 2.5 cannot resolve the spectrum
-        table = spectrum_table(f, pa, grid)
-        with pytest.raises(GridError):
-            fh_inverse(table, 0.5, 30.0)
+# fh_inverse(bump, chi, 8) at R = 1 and chi = 0.2, 0.5, 1.2, by scipy quad of
+# fh_forward * phi * plancherel_density over [0, 8] (epsabs = epsrel = 1e-13,
+# points at every integer). Each costs 0.05-0.6 s, so they are kept here.
+_INVERSE_AT = (0.2, 0.5, 1.2)
+_INVERSE_SPECTRAL_SIDE = {
+    1: (0.966193352511118, 0.7084956857018175, -0.021747261995581253),
+    2: (0.9743724373993616, 0.6996519727408453, -0.024487417597088244),
+    3: (1.0552275986071455, 0.6838525950052263, -0.021308664211107237),
+    4: (1.2372815582654244, 0.6907024002563648, -0.013482229382045461),
+    5: (1.4727248592385802, 0.7304240356037288, -0.00765864821921028),
+}
+
+
+class TestInverse:
+    @pytest.mark.parametrize("d", sorted(_INVERSE_SPECTRAL_SIDE))
+    def test_against_the_phi_spectral_side(self, d):
+        pa = SpectralParams(d)
+        for chi, ref in zip(_INVERSE_AT, _INVERSE_SPECTRAL_SIDE[d]):
+            assert fh_inverse(bump(), pa, chi, 8.0) == pytest.approx(ref, rel=0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("name", ("linear-ramp", "poly-vanish", "bump", "exp-decay",
+                                      "one-jump"))
+    @pytest.mark.parametrize("d", (1, 2, 3, 4, 5, 6))
+    def test_at_the_origin_is_the_partial_sum(self, d, name):
+        # even d reads partial_sum off the same integral; odd d sums its
+        # closed-form and recursion kernels
+        from hyperdirichlet.cli import make_test_function
+        f = make_test_function(name, 1.0)
+        pa = SpectralParams(d)
+        if d % 2 == 0:
+            assert fh_inverse(f, pa, 0.0, 8.0) == partial_sum(f, pa, 8.0)
+        else:
+            assert fh_inverse(f, pa, 0.0, 8.0) == pytest.approx(
+                partial_sum(f, pa, 8.0), rel=0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("chi", (-0.5, math.inf, math.nan))
+    def test_chi_outside_the_domain(self, chi):
+        with pytest.raises(DomainError):
+            fh_inverse(bump(), SpectralParams(3), chi, 8.0)
 
 
 class TestSpectrumTable:
-    def test_csv_round_trip(self):
-        pa = SpectralParams(3)
-        table = SpectrumTable((0.0, 0.5, 1.0, 2.0), (1.0, 0.25, -0.125, 1e-17), pa)
-        back = SpectrumTable.from_csv(table.to_csv(), pa)
-        assert back.lambda_grid == table.lambda_grid
-        assert back.values == table.values
-
-    def test_header_enforced(self):
-        with pytest.raises(DomainError):
-            SpectrumTable.from_csv("x,y\n1,2\n", SpectralParams(3))
-
-    @pytest.mark.parametrize("text", ["", "lambda,fhat\n1,2,3\n", "lambda,fhat\n1,x\n"],
-                             ids=("empty", "three-columns", "not-a-number"))
-    def test_malformed_text(self, text):
-        with pytest.raises(DomainError):
-            SpectrumTable.from_csv(text, SpectralParams(3))
-
     def test_validation(self):
         pa = SpectralParams(3)
         with pytest.raises(DomainError):
             SpectrumTable((1.0, 0.5), (1.0, 1.0), pa)
         with pytest.raises(DomainError):
             SpectrumTable((0.0, 1.0), (1.0, math.nan), pa)
+
+    @pytest.mark.parametrize("a", (100.0, 700.0))
+    def test_d2_wide_support(self, a):
+        # the d = 2 profile of e^-chi in y = cosh chi lost the weight near
+        # y = 1 at these supports and gave fhat(0) = 7.6e-18 at a = 100; past
+        # chi = 100 the integrand of fh_forward is below 1e-19
+        from hyperdirichlet.cli import make_test_function
+        pa = SpectralParams(2)
+        ref = fh_forward(make_test_function("exp-decay", 100.0), pa, 0.0)
+        table = spectrum_table(make_test_function("exp-decay", a), pa, [0.0])
+        assert table.values[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # S_M f(0) at R = 1 for the CLI profiles at a = 1 and M = 2, 8, 25, by the
@@ -190,18 +207,12 @@ _CLI_PROFILES = ("linear-ramp", "poly-vanish", "bump", "exp-decay", "one-jump")
 
 class TestPartialSum:
     def test_band_inversion_commutation(self):
-        # partial_sum(f, M) equals integrating the sampled spectrum against
-        # the density over [0, M] (phi = 1 at the origin)
+        # partial_sum(f, M) equals integrating the spectrum against the
+        # density over [0, M] (phi = 1 at the origin)
         pa = SpectralParams(3)
         f = bump()
         M = 12.0
-        grid = [0.25 * j for j in range(49)]
-        table = spectrum_table(f, pa, grid)
-        direct = partial_sum(f, pa, M)
-        via_spectrum = fh_inverse(table, 0.0, M)
-        # the spectrum-side value carries the interpolation error of the
-        # 0.25-step sampling
-        assert abs(direct - via_spectrum) < 5e-4
+        assert abs(partial_sum(f, pa, M) - fh_inverse(f, pa, 0.0, M)) < 1e-10
 
     def test_d7_at_the_rounding_floor(self):
         # cells of these sums spend their panel budget at the rounding
@@ -244,12 +255,12 @@ class TestPartialSum:
         # route even d takes: the lambda-integral of the cosine moments of
         # the Abel profile of exponent rho - 1
         from hyperdirichlet.cli import make_test_function
-        from hyperdirichlet.transform import _abel_partial_sum, _radial_abel_profile
+        from hyperdirichlet.transform import _radial_abel_profile, _spectral_side
         pa = SpectralParams(d)
         f = make_test_function(name, 1.0)
         prof = _radial_abel_profile(f, pa.rho)
         for M in _PARTIAL_SUM_BANDS:
-            assert _abel_partial_sum(prof, pa, M) == pytest.approx(
+            assert _spectral_side(prof, pa, M) == pytest.approx(
                 partial_sum(f, pa, M), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("name", _CLI_PROFILES)
@@ -276,6 +287,48 @@ class TestParseval:
         pa = SpectralParams(3)
         nf, ns = parseval_check(bump(), pa, 40.0)
         assert abs(nf - ns) < 0.01 * nf
+
+    @pytest.mark.parametrize("name", ("bump", "one-jump"))
+    def test_d1_against_the_cosine_transform(self, name):
+        # d = 1: fhat(lam) = R int_0^a f cos(lam chi) dchi and the density is
+        # 2 / (pi R); the cosine transform is scipy's cosine-weighted quad
+        from scipy.integrate import quad
+        from hyperdirichlet.cli import make_test_function
+        f = make_test_function(name, 1.0)
+
+        def fhat(lam):
+            return math.fsum(quad(f.profile, lo, hi, weight="cos", wvar=lam,
+                                  epsabs=1e-14, epsrel=1e-12)[0] for lo, hi in f.pieces())
+
+        ref = quad(lambda lam: fhat(lam) ** 2 * 2.0 / math.pi, 0.0, 20.0, epsabs=1e-14,
+                   epsrel=1e-12, points=list(range(1, 20)), limit=200)[0]
+        nf, ns = parseval_check(f, SpectralParams(1), 20.0)
+        assert ns == pytest.approx(ref, rel=1e-10, abs=0.0)
+        assert ns <= nf
+
+    def test_bessel_inequality_at_a_wide_support(self):
+        # the sampled spectrum gave 7.08e136 here, past the norm of f
+        from hyperdirichlet.cli import make_test_function
+        nf, ns = parseval_check(make_test_function("poly-vanish", 100.0), SpectralParams(4), 5.0)
+        assert ns <= nf
+
+
+class TestAbelProfile:
+    @pytest.mark.parametrize("name", ("linear-ramp", "poly-vanish"))
+    @pytest.mark.parametrize("d", (4, 5, 6))
+    def test_rows_near_the_support_end(self, d, name):
+        # at a = 100 the rows next to t = a carry 1e-8 relative rounding and
+        # cannot reach their own 1e-11; the profile resolves them relative to
+        # the largest row instead
+        from hyperdirichlet.cli import make_test_function
+        from hyperdirichlet.transform import _radial_abel_profile
+        f = make_test_function(name, 100.0)
+        pa = SpectralParams(d)
+        prof = _radial_abel_profile(f, pa.rho)
+        scale = abs(fh_forward(f, pa, 0.0))
+        for lam in (0.0, 0.7, 3.0):
+            assert pa.Rd * prof.cosine_moment(lam) == pytest.approx(
+                fh_forward(f, pa, lam), rel=0.0, abs=1e-10 * scale)
 
 
 class TestMehlerFock:
