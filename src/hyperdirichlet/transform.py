@@ -11,7 +11,10 @@ cached Gauss-Legendre rule. The inverse transform at chi is the integral of
 those moments times phi_lam(chi) against the Plancherel density over [0, M];
 at chi = 0 it is the even-d partial sum, and Parseval's spectral norm
 integrates their squares. Odd d keeps its closed-form and recursion kernels
-for partial sums, and fh_forward and spectrum_table keep phi in every d != 2.
+for partial sums. At d = 1 and d = 3 the forward transform is a cosine or a
+sine moment of one amplitude of plain values of f, f sinh at d = 3, held on
+the same Chebyshev pieces; every d >= 4, and fh_forward at d = 2, integrate
+phi.
 """
 
 from __future__ import annotations
@@ -170,9 +173,14 @@ def _sinh_power(chi, n):
 
 def fh_forward(f, params, lam):
     """Forward Fourier-Helgason transform of a compactly supported radial
-    profile: R^d int_0^a f(chi) Phi_lam(chi) sinh^{d-1}(chi) dchi."""
+    profile: R^d int_0^a f(chi) Phi_lam(chi) sinh^{d-1}(chi) dchi. d = 1 and
+    d = 3 read it off one amplitude (_forward_moment), refused where the rule
+    would pass _MAX_NODES nodes: from lam = 2^16 at a = 1, where the power of
+    2 above lam times a passes about 1e5. Other d integrate phi."""
     d = params.d
     Rd = params.Rd
+    if d in (1, 3):
+        return Rd * _forward_moment(f, d)(lam)
     profile = pointwise(f.profile)
 
     def g(chi):
@@ -199,12 +207,12 @@ _ABEL_MAX_ROWS = 8192
 # t^{2 rho + 1} log t term there (t^2 log t at d = 2) when rho is a half
 # integer and the profile's first derivative at 0 is not zero.
 _ABEL_SPLIT_AT_ZERO = 0.0625
-# Gauss-Legendre order of a cosine-moment panel, the radians of cos(mu t) that
-# one panel spans at most, and the most nodes a moment's rule may hold.
+# Gauss-Legendre order of a moment panel, the radians of cos(mu t) or
+# sin(mu t) that one panel spans at most, and the most nodes a rule may hold.
 _GL_ORDER = 16
 _PANEL_PHASE = 2.0 * math.pi
 _MAX_NODES = 1 << 18
-# Cosine-moment rules one profile keeps, keyed by their octave of mu.
+# Moment rules one profile keeps, keyed by their octave of mu.
 _RULES_KEPT = 8
 
 
@@ -228,7 +236,8 @@ class _AbelCosineProfile:
     C_rho = 2^{rho-1/2} Gamma(rho+1/2) sqrt(2/pi) / Gamma(rho). At rho = 1/2,
     phi is the conical function P_{-1/2+i mu}, C_rho = sqrt(2)/pi, and the
     left side is int_1^{cosh T} P_{-1/2+i mu}(y) f(y) dy. At rho = 0 (d = 1)
-    the kernel is not integrable: F is f itself, C = 1 and phi_mu = cos mu t.
+    the kernel is not integrable: F is f itself, C = 1 and phi_mu = cos mu t;
+    any amplitude of plain values is held the same way (f sinh at d = 3).
     rows(ts, spec) samples F at an ndarray of t, each row resolved to spec; it
     is not kept, so a profile cached under a weight function does not keep
     that function alive.
@@ -237,9 +246,9 @@ class _AbelCosineProfile:
     chi-breakpoints and T, in the variable v of t = hi - (hi - lo) v^2, which
     absorbs the (hi - t)^rho with which F ends at each piece's right end. A
     piece doubles its points until its Chebyshev tail is below the rows'
-    tolerance, and is split where doubling does not get there. Cosine moments
-    are dot products with Gauss-Legendre rules in v weighted by F, built per
-    octave of mu and kept for the last few octaves.
+    tolerance, and is split where doubling does not get there. Cosine and sine
+    moments are dot products with Gauss-Legendre rules in v weighted by F,
+    built per octave of mu and kept for the last few octaves.
     """
 
     def __init__(self, rows, T, chi_breaks=(), rho=0.5):
@@ -360,17 +369,26 @@ class _AbelCosineProfile:
         return rule
 
     def cosine_moment(self, mu):
-        """sqrt(2)/pi * int_0^T F(t) cos(mu t) dt. Raises DomainError where its
+        """C_rho * int_0^T F(t) cos(mu t) dt. Raises DomainError where its
         rule would need more than _MAX_NODES nodes."""
         mu = abs(mu)
         nodes, fw = self._rule(mu)
         s = float(np.dot(fw, np.cos(mu * nodes)))
         return self._scale * s
 
+    def sine_moment(self, mu):
+        """C_rho * int_0^T F(t) sin(mu t) / mu dt, read off the rule of
+        cosine_moment; below mu T = 1e-8, sin(mu t) / mu is t to rounding."""
+        mu = abs(mu)
+        nodes, fw = self._rule(mu)
+        if mu * self.T < 1e-8:
+            return self._scale * float(np.dot(fw, nodes))
+        return self._scale * float(np.dot(fw, np.sin(mu * nodes))) / mu
+
 
 def _too_many_nodes(mu):
-    """The refusal of a cosine moment whose rule would exceed _MAX_NODES."""
-    return DomainError(f"the cosine moment at mu = {mu:g} needs more than "
+    """The refusal of a moment whose rule would exceed _MAX_NODES."""
+    return DomainError(f"the trigonometric moment at mu = {mu:g} needs more than "
                        f"{_MAX_NODES} nodes")
 
 
@@ -453,15 +471,45 @@ def _radial_abel_profile(f, rho=0.5):
     return _AbelCosineProfile(_radial_rows(f, rho), a, f.breakpoints[1:-1], rho)
 
 
+def _forward_moment(f, d):
+    """lam -> fhat(lam) / R^d read off one profile of f, at d <= 3: at d = 2
+    the cosine moment of the Abel profile. At d = 1 and d = 3 phi_lam
+    sinh^{d-1} is cos(lam chi) and sinh(chi) sin(lam chi) / lam (Iserles-Norsett
+    2005): the cosine moment of A = f, the rho = 0 profile, and the sine moment
+    of A = f sinh held the same way. DomainError where f sinh overflows, or
+    at a negative or nan lam."""
+    if d == 2:
+        return _radial_abel_profile(f).cosine_moment
+    if d == 1:
+        moment = _radial_abel_profile(f, 0.0).cosine_moment
+    else:
+        profile = pointwise(f.profile)
+
+        def rows(ts, spec):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = profile(ts) * np.sinh(ts)
+            if not np.isfinite(value).all():
+                raise DomainError(f"f sinh overflows at a = {f.support_bound:g}")
+            return value
+
+        moment = _AbelCosineProfile(rows, f.support_bound, f.breakpoints[1:-1], 0.0).sine_moment
+
+    def read(lam):
+        if not lam >= 0.0:
+            raise DomainError(f"fh_forward requires lam >= 0, got {lam}")
+        return moment(lam)
+
+    return read
+
+
 def spectrum_table(f, params, lambda_grid):
-    """Forward transform sampled on a grid. d = 2 uses the Abel reduction
-    (one profile for the whole grid); other dimensions loop the direct
-    quadrature."""
+    """Forward transform sampled on a grid. d <= 3 reads every value off one
+    profile of f (_forward_moment), at d = 1 and d = 3 the very value of
+    fh_forward; other dimensions loop fh_forward."""
     lambda_grid = tuple(float(x) for x in lambda_grid)
-    if params.d == 2:
-        Rd = params.Rd
-        prof = _radial_abel_profile(f)
-        vals = [Rd * prof.cosine_moment(lam) for lam in lambda_grid]
+    if params.d <= 3:
+        moment = _forward_moment(f, params.d)
+        vals = [params.Rd * moment(lam) for lam in lambda_grid]
     else:
         vals = [fh_forward(f, params, lam) for lam in lambda_grid]
     return SpectrumTable(lambda_grid, tuple(vals), params)

@@ -233,7 +233,7 @@ class TestErrorRecord:
         ["limits", "--mode", "density", "--d", "3", "--Rgrid", "-1"],
         ["transform", "--d", "2", "--action", "forward", "--f", "bump", "--a", "800",
          "--lambda", "1"],
-        ["transform", "--d", "3", "--action", "forward", "--f", "bump", "--a", "360",
+        ["transform", "--d", "3", "--action", "forward", "--f", "bump", "--a", "711",
          "--lambda", "1"],
         ["converge", "--d", "5", "--f", "bump", "--a", "200"],
         ["converge", "--d", "6", "--f", "bump", "--a", "300"],
@@ -259,10 +259,11 @@ class TestErrorRecord:
     @pytest.mark.parametrize("argv", [
         ["transform", "--d", "2", "--action", "mehler-fock", "--f", "exp-decay", "--mu", "1e7"],
         ["transform", "--d", "2", "--action", "forward", "--f", "bump", "--lambda", "1e7"],
-    ], ids=("mehler-fock", "forward-d2"))
+        ["transform", "--d", "3", "--action", "forward", "--f", "linear-ramp", "--lambda", "1e5"],
+    ], ids=("mehler-fock", "forward-d2", "forward-d3"))
     def test_cosine_moment_past_the_node_cap(self, argv, capsys):
-        # the index 1e7 would need a rule of about 1e8 nodes; it is refused
-        # before any of them is allocated
+        # the index 1e7 would need a rule of about 1e8 nodes, and 1e5 one of
+        # 3.3e5 at a = 1; each is refused before any of them is allocated
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -412,6 +413,15 @@ class TestErrorContractProperties:
         _assert_contract(["transform", "--d", str(d), "--R", repr(R), "--action", action,
                           "--f", f, "--a", repr(a), "--lambda", "0:5:9", "--chi", "0.5",
                           "--mu", repr(mu)])
+
+    @_FUZZ
+    @given(d=st.integers(1, 3), f=_PROFILES, a=_SUPPORTS,
+           lam_max=st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e))
+    def test_forward(self, d, f, a, lam_max):
+        # the band up to 1e6: every route of d <= 3 answers or refuses at the
+        # node cap of its moments
+        _assert_contract(["transform", "--d", str(d), "--action", "forward", "--f", f,
+                          "--a", repr(a), "--lambda", f"0:{lam_max!r}:9"])
 
     @_FUZZ
     @given(d=st.integers(2, 7), R=_RADII, f=_PROFILES, a=_SUPPORTS)

@@ -29,6 +29,52 @@ def bump(a=1.0):
 
 EXP_ENV = DecayEnvelope("exponential", 1.0 + 1e-12, 1.0)
 
+# The CLI profiles at a = 1 that are p(x) e^{beta x} on each of their pieces:
+# (lo, hi, p's coefficients from the constant up, beta).
+_EXP_PIECES = {
+    "linear-ramp": [(0, 1, [1, -1], 0)],
+    "poly-vanish": [(0, 1, [0, 0, 1, -1], 0)],
+    "exp-decay": [(0, 1, [1], -1)],
+    "one-jump": [(0, 0.5, [1], 0), (0.5, 1, [0.5], 0)],
+}
+
+
+def _poly_exp_integral(p, s, lo, hi):
+    """int_lo^hi p(x) e^{s x} dx: e^{s x} sum_j (-1)^j p^(j)(x) / s^(j+1)
+    between the ends, or the integral of p at s = 0."""
+    if s == 0:
+        q = [0] + [mp.mpf(c) / (k + 1) for k, c in enumerate(p)]
+        return mp.polyval(q[::-1], hi) - mp.polyval(q[::-1], lo)
+
+    def antiderivative(x):
+        total, q, j = 0, list(p), 0
+        while q:
+            total += (-1) ** j * mp.polyval(q[::-1], x) / s ** (j + 1)
+            q = [k * c for k, c in enumerate(q)][1:]
+            j += 1
+        return mp.exp(s * x) * total
+
+    return antiderivative(hi) - antiderivative(lo)
+
+
+def _exact_forward(name, d, lam):
+    """fhat at R = 1 in 40-digit mpmath: int f cos(lam x) dx at d = 1 and
+    int f sinh(x) sin(lam x) / lam dx (int f sinh(x) x dx at lam = 0) at d = 3."""
+    with mp.workdps(40):
+        lam = mp.mpf(lam)
+        total = 0
+        for lo, hi, p, beta in _EXP_PIECES[name]:
+            lo, hi = mp.mpf(lo), mp.mpf(hi)
+            if d == 1:
+                total += mp.re(_poly_exp_integral(p, beta + 1j * lam, lo, hi))
+            elif lam == 0:
+                total += (_poly_exp_integral([0] + p, beta + 1, lo, hi)
+                          - _poly_exp_integral([0] + p, beta - 1, lo, hi)) / 2
+            else:
+                total += mp.im(_poly_exp_integral(p, beta + 1 + 1j * lam, lo, hi)
+                               - _poly_exp_integral(p, beta - 1 + 1j * lam, lo, hi)) / (2 * lam)
+        return float(total)
+
 
 class TestRadialFunction:
     def test_support_clipping(self):
@@ -60,8 +106,9 @@ class TestForward:
         assert fh_forward(f, pa, lam) == pytest.approx(ref, rel=1e-10)
 
     def test_linear_ramp_d3_at_high_frequency(self):
-        # 6366 half-periods of sin(lam chi) on the support: every one is its
-        # own quadrature cell, however many there are.
+        # 6366 half-periods of sin(lam chi) on the support. fhat is -1.06e-12,
+        # so the check is relative only: pytest's default abs of 1e-12 would
+        # pass any answer below 2e-12.
         a, lam = 2.0, 1e4
         f = RadialFunction(lambda x: 1.0 - x / a, a)
 
@@ -71,7 +118,27 @@ class TestForward:
 
         with mp.workdps(40):
             ref = float(mp.im(moment(1 + 1j * lam) - moment(-1 + 1j * lam)) / (2 * lam))
-        assert fh_forward(f, SpectralParams(3), lam) == pytest.approx(ref, rel=1e-8)
+        assert fh_forward(f, SpectralParams(3), lam) == pytest.approx(ref, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("lam", (0.0, 0.5, 7.0, 372.0, 3000.0))
+    @pytest.mark.parametrize("name", sorted(_EXP_PIECES))
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_d1_d3_against_sums_of_exponentials(self, d, name, lam):
+        # f, and f sinh, are sums of exponentials on each piece, so fhat is
+        # elementary. fhat falls like lam^-2 or lam^-3 while each moment
+        # rounds at about eps max|A| T, whence the lam^2 in the bound.
+        from hyperdirichlet.cli import make_test_function
+        ref = _exact_forward(name, d, lam)
+        assert fh_forward(make_test_function(name, 1.0), SpectralParams(d), lam) == pytest.approx(
+            ref, rel=1e-14 * max(1.0, lam) ** 2, abs=0.0)
+
+    @pytest.mark.parametrize("a,ref", [(300.0, -1.4094991374949711e+119),
+                                       (360.0, 1.8591511621523040e+144),
+                                       (700.0, -5.4487326688276684e+286)])
+    def test_d3_wide_support(self, a, ref):
+        # f sinh stays finite where sinh^2 overflows (a >= 356); the
+        # references are 50-digit mpmath quadrature of bump sinh(x) sin(x)
+        assert fh_forward(bump(a), SpectralParams(3), 1.0) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
     def test_linearity(self):
         pa = SpectralParams(3)
@@ -165,6 +232,33 @@ class TestSpectrumTable:
             SpectrumTable((1.0, 0.5), (1.0, 1.0), pa)
         with pytest.raises(DomainError):
             SpectrumTable((0.0, 1.0), (1.0, math.nan), pa)
+
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_d1_d3_on_one_amplitude(self, d, monkeypatch):
+        # one amplitude serves the grid, and each value is the very value of
+        # fh_forward, which builds its own
+        from hyperdirichlet import transform
+        from hyperdirichlet.cli import make_test_function
+        builds = []
+        init = transform._AbelCosineProfile.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(transform._AbelCosineProfile, "__init__", counted)
+        f = make_test_function("one-jump", 1.0)
+        pa = SpectralParams(d)
+        grid = [0.0, 0.5, 7.0, 40.0, 372.0, 3000.0]
+        table = spectrum_table(f, pa, grid)
+        assert len(builds) == 1
+        assert list(table.values) == [fh_forward(f, pa, lam) for lam in grid]
+
+    @pytest.mark.parametrize("lam", (-1.0, math.nan, math.inf))
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_d1_d3_lambda_outside_the_domain(self, d, lam):
+        with pytest.raises(DomainError):
+            spectrum_table(bump(), SpectralParams(d), [lam])
 
     @pytest.mark.parametrize("a", (100.0, 700.0))
     def test_d2_wide_support(self, a):
