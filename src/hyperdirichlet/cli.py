@@ -104,10 +104,6 @@ def make_weight_function(name):
                      "exp-decay and poly-vanish)")
 
 
-_TARGETS = {"linear-ramp": 1.0, "poly-vanish": 0.0, "bump": 1.0,
-            "exp-decay": 1.0, "one-jump": 1.0}
-
-
 def _csv(header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -158,10 +154,7 @@ def _cmd_transform(args):
     if args.action == "forward":
         f = make_test_function(args.f, args.a)
         table = spectrum_table(f, pa, _parse_grid(args.lam))
-        if args.format == "json":
-            return _json_rows(("lambda", "fhat"),
-                              list(zip(table.lambda_grid, table.values)))
-        return table.to_csv()
+        return _emit(args, ("lambda", "fhat"), list(zip(table.lambda_grid, table.values)))
     if args.action == "inverse":
         f = make_test_function(args.f, args.a)
         lam_max = _parse_grid(args.lam)[-1]
@@ -185,13 +178,14 @@ def _cmd_transform(args):
 
 def _cmd_converge(args):
     schedule = [float(s) for s in args.schedule.split(",")]
-    target = args.target if args.target is not None else _TARGETS[args.f]
     if args.d == 2:
         w, env = make_weight_function(args.f)
+        target = w(1.0) if args.target is None else args.target
         report = converge_d2(w, schedule, target, args.tol, env)
     else:
         pa = SpectralParams(args.d, args.R)
         f = make_test_function(args.f, args.a)
+        target = f(0.0) if args.target is None else args.target
         report = converge_at_origin(f, pa, schedule, target, args.tol)
     if args.format == "csv":
         return report.to_csv()
@@ -262,7 +256,7 @@ def _build_parser():
     sp.add_argument("--f", required=True)
     sp.add_argument("--a", type=float, default=1.0)
     sp.add_argument("--schedule", default="25,50,100,200")
-    sp.add_argument("--target", type=float, default=None)
+    sp.add_argument("--target", type=float, default=None, help="default: f(0), w(1) at d = 2")
     sp.add_argument("--tol", type=float, default=5e-2)
     sp.set_defaults(run=_cmd_converge)
 

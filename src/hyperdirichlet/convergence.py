@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .numerics import extrapolate_limit, pointwise
-from .kernel import shannon_delta, _delta1
+from .kernel import _shannon
 from .transform import (DecayEnvelope, _chi_oscillatory, _index_weight, _spectral_side,
-                        _mf_profile, _radial_abel_profile, mehler_fock_inverse, partial_sum)
+                        _radial_abel_profile, mehler_fock_inverse, partial_sum)
 
 __all__ = [
     "ConvergenceReport",
@@ -95,10 +95,17 @@ def _assemble_report(schedule, sums, target, tol):
                              verdict, drift)
 
 
+def _check_target(target, tol):
+    if not (math.isfinite(target) and 0.0 < tol < math.inf):
+        raise DomainError(f"a verdict needs a finite target and a finite tol > 0, "
+                          f"got target = {target}, tol = {tol}")
+
+
 def converge_at_origin(f, params, M_schedule, target, tol):
     """Sweep the spherical partial sum at the origin over M_schedule and
     judge convergence to the declared target (d != 2). Even d reads every
     sum off one Abel profile of f."""
+    _check_target(target, tol)
     if params.d == 2:
         raise DomainError("d = 2: use converge_d2")
     schedule = sorted(float(m) for m in M_schedule)
@@ -159,8 +166,8 @@ def example_d5_boundary_audit(f, params, M):
     fa = f.profile(a)
     fpa = f.derivative(a)
 
-    dM = lambda x: shannon_delta(M, x)
-    dM1 = lambda x: _delta1(M, x)
+    dM = lambda x: _shannon(0, M, x)
+    dM1 = lambda x: _shannon(1, M, x)
     sh2 = lambda x: math.sinh(x) ** 2
     s2x = lambda x: math.sinh(2.0 * x)
     c2x = lambda x: math.cosh(2.0 * x)
@@ -184,7 +191,7 @@ def example_d5_boundary_audit(f, params, M):
         c2 = pointwise(c2x)(x)
         second = f2 * pointwise(sh2)(x) + 2.0 * f1 * s2 + 2.0 * fv * c2
         first = f1 * s2 + 2.0 * fv * c2
-        return ((2.0 / 3.0) * second + (1.0 / 3.0) * first) * shannon_delta(M, x)
+        return ((2.0 / 3.0) * second + (1.0 / 3.0) * first) * _shannon(0, M, x)
 
     interior_total = 0.0
     for lo, hi in f.pieces():
@@ -198,7 +205,8 @@ def converge_d2(f, M_schedule, target_f_at_1, tol, envelope=DecayEnvelope()):
     """d = 2 index-integral limit: sweep
     S_M = int_0^M lam tanh(pi lam) [int_1^inf P_{-1/2+i lam}(y) f(y) dy] dlam
     over M_schedule and judge convergence to f(1+)."""
-    g = _index_weight(_mf_profile(f, envelope))
+    _check_target(target_f_at_1, tol)
+    g = _index_weight(f, envelope)
     schedule = sorted(float(m) for m in M_schedule)
     sums = [mehler_fock_inverse(g, 1.0, M) for M in schedule]
     return _assemble_report(schedule, sums, target_f_at_1, tol)
@@ -210,8 +218,8 @@ def delta_limit_audit(l, M):
     sin(Mt)/(pi t) = sum_l (-1)^l M^{2l+1} t^{2l} / ((2l+1)! pi), the even-order
     limit is (-1)^l M^{2l+1} / ((2l+1) pi) and the odd-order limit vanishes.
     Raises DomainError where M^{2l+1} overflows."""
-    if l < 0:
-        raise DomainError("derivative order index l must be >= 0")
+    if l < 0 or not math.isfinite(M):
+        raise DomainError(f"delta_limit_audit requires l >= 0 and a finite M, got M = {M}")
     try:
         power = M ** (2 * l + 1)
     except OverflowError:

@@ -83,75 +83,48 @@ def _power(x, n):
     return np.fromiter(map(pow, x.tolist(), repeat(n)), float, x.size)
 
 
+# sin(u)/u = sum_k (-1)^k u^{2k} / (2k+1)!: per n <= 2, the nine leading
+# coefficients of its n-th derivative in u^2 (times u at n = 1), highest first.
+_SHANNON_SERIES = tuple(
+    tuple((-1) ** k * math.perm(2 * k, n) / math.factorial(2 * k + 1)
+          for k in range((n + 1) // 2 + 8, (n + 1) // 2 - 1, -1))
+    for n in range(3))
+
+
 @_float_or_array
-def shannon_delta(M, chi):
-    """Shannon's delta kernel sin(M chi)/(pi chi), with the removable
-    singularity filled by series."""
+def _shannon(n, M, chi):
+    """n-th chi-derivative of Shannon's delta kernel sin(M chi)/(pi chi),
+    n <= 2, by Horner's rule on its series below M chi = 0.5."""
     u = M * chi
     out = np.empty_like(u)
     near = np.abs(u) < 0.5
     if near.any():
-        # sin(u)/u = sum (-1)^k u^{2k} / (2k+1)!
         un = u[near]
+        w = un * un
         s = 0.0
-        t = 1.0
-        for k in range(9):
-            if k > 0:
-                t *= -un * un / ((2 * k) * (2 * k + 1))
-            s += t
-        out[near] = M * s / math.pi
-    far = ~near
-    out[far] = np.sin(u[far]) / (math.pi * chi[far])
-    return out
-
-
-@_float_or_array
-def _delta1(M, chi):
-    """First derivative of shannon_delta in chi."""
-    u = M * chi
-    out = np.empty_like(u)
-    near = np.abs(u) < 0.5
-    if near.any():
-        # sum (-1)^k (2k) u^{2k-1} / (2k+1)!
-        un = u[near]
-        s = 0.0
-        term = -un / 3.0
-        k = 1
-        while k < 9:
-            s += term
-            k += 1
-            term *= -un * un * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
-        out[near] = M * M * s / math.pi
+        for c in _SHANNON_SERIES[n]:
+            s = s * w + c
+        # M^{n+1} as products: M ** (n + 1) raises OverflowError where they are inf
+        out[near] = (M, M * M, M * M * M)[n] * (s * un if n == 1 else s) / math.pi
     far = ~near
     uf = u[far]
     cf = chi[far]
-    out[far] = (uf * np.cos(uf) - np.sin(uf)) / (math.pi * cf * cf)
+    if n == 0:
+        out[far] = np.sin(uf) / (math.pi * cf)
+    elif n == 1:
+        out[far] = (uf * np.cos(uf) - np.sin(uf)) / (math.pi * cf * cf)
+    else:
+        out[far] = ((-uf * uf * np.sin(uf) - 2.0 * (uf * np.cos(uf) - np.sin(uf)))
+                    / (math.pi * _power(cf, 3)))
     return out
 
 
-@_float_or_array
-def _delta2(M, chi):
-    """Second derivative of shannon_delta in chi."""
-    u = M * chi
-    out = np.empty_like(u)
-    near = np.abs(u) < 0.5
-    if near.any():
-        # sum (-1)^k (2k)(2k-1) u^{2k-2} / (2k+1)!
-        un = u[near]
-        s = 0.0
-        term = -1.0 / 3.0
-        k = 1
-        while k < 9:
-            s += term
-            k += 1
-            term *= (-un * un * (2 * k) * (2 * k - 1)
-                     / ((2 * k - 2) * (2 * k - 3) * (2 * k) * (2 * k + 1)))
-        out[near] = M * M * M * s / math.pi
-    far = ~near
-    uf = u[far]
-    out[far] = ((-uf * uf * np.sin(uf) - 2.0 * (uf * np.cos(uf) - np.sin(uf)))
-                / (math.pi * _power(chi[far], 3)))
-    return out
+def shannon_delta(M, chi):
+    """Shannon's delta kernel sin(M chi)/(pi chi), at a float chi or on an
+    ndarray of them; DomainError at a non-finite M or chi."""
+    if not (math.isfinite(M) and np.isfinite(chi).all()):
+        raise DomainError("shannon_delta requires finite M and chi")
+    return _shannon(0, M, chi)
 
 
 def _finite(fn):
@@ -171,7 +144,7 @@ def _finite(fn):
 # off its series about the origin: the d = 5 closed form, a difference of
 # Shannon-kernel derivatives over sinh^2 and sinh^3, cancels there like
 # 1e-16/(M chi)^2 (2.8e-9 at M chi = 3e-4), and d = 3 divides subnormals at
-# the smallest chi. The Shannon kernels switch to their own series at the
+# the smallest chi. The Shannon kernel switches to its own series at the
 # same 0.5.
 _CLOSED_ORIGIN = 0.5
 
@@ -191,14 +164,14 @@ def dirichlet_closed(kp, chi):
     if not chi.all():
         raise DomainError("closed forms are stated for chi > 0")
     if d == 1:
-        return 2.0 * shannon_delta(M, chi) / R
+        return 2.0 * _shannon(0, M, chi) / R
     if d == 3:
         s, _, big = _sinh_cosh(chi, _HYPERBOLIC_MAX)
-        value = _unscale(-2.0 * _delta1(M, chi) / (kp.spectral.Rd * s), chi, big, 1)
+        value = _unscale(-2.0 * _shannon(1, M, chi) / (kp.spectral.Rd * s), chi, big, 1)
     elif d == 5:
         s, c, big = _sinh_cosh(chi, _HYPERBOLIC_MAX / 3.0)
-        value = (2.0 / (3.0 * kp.spectral.Rd)) * (_delta2(M, chi) / (s * s)
-                                                  - c * _delta1(M, chi) / _power(s, 3))
+        value = (2.0 / (3.0 * kp.spectral.Rd)) * (_shannon(2, M, chi) / (s * s)
+                                                  - c * _shannon(1, M, chi) / _power(s, 3))
         value = _unscale(value, chi, big, 2)
     else:
         raise DomainError(
@@ -376,8 +349,8 @@ def dirichlet_asymptotic(kp, chi):
     D ~ 2^{1-rho} M^rho sin(M chi - pi rho/2) / (sqrt(pi) Gamma(rho+1/2) R^d chi sinh^rho chi),
     valid to relative O(1/M); exact for d = 1."""
     chi = abs(chi)
-    if chi == 0.0:
-        raise DomainError("asymptotic form requires chi > 0")
+    if not 0.0 < chi < math.inf:
+        raise DomainError(f"asymptotic form requires a finite chi > 0, got {chi}")
     pa = kp.spectral
     M = kp.M
     if M * chi < 10.0:

@@ -373,6 +373,8 @@ def extrapolate_limit(values):
     pts = list(values)
     if len(pts) < 3:
         raise DomainError("need at least 3 samples to extrapolate")
+    if not all(math.isfinite(p) and math.isfinite(v) for p, v in pts):
+        raise DomainError("extrapolation samples must be finite")
     params = [p for p, _ in pts]
     if not all(params[i] < params[i + 1] for i in range(len(params) - 1)):
         raise DomainError("extrapolation parameters must be strictly increasing")

@@ -99,6 +99,8 @@ def gamma_modulus_sq(kind, lam, k=None):
     'half_integer_shift'; the shifted kinds require a positive integer k.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise DomainError(f"gamma_modulus_sq requires a finite lam, got {lam}")
     if kind == "imaginary":
         if lam == 0.0:
             raise PoleError("|Gamma(i lam)|^2 has a pole at lam = 0")
@@ -407,8 +409,8 @@ _BESSEL_CROSSOVER = 12.0
 
 def bessel_j(nu, x):
     """Bessel J_nu(x) for nu >= 0, x >= 0."""
-    if nu < 0 or x < 0:
-        raise DomainError("bessel_j requires nu >= 0 and x >= 0")
+    if not (0 <= nu < math.inf and 0 <= x < math.inf):
+        raise DomainError("bessel_j requires finite nu >= 0 and x >= 0")
     return float(scipy.special.jv(nu, x))
 
 
@@ -416,8 +418,8 @@ def spherical_bessel(a, x):
     """Normalized Bessel function: Gamma(a+1) (2/x)^a J_a(x), equal to 1 at
     x = 0. For a = (d-2)/2 this is the Euclidean limit of the zonal
     spherical function."""
-    if x < 0:
-        raise DomainError("spherical_bessel requires x >= 0")
+    if not (math.isfinite(a) and 0 <= x < math.inf):
+        raise DomainError("spherical_bessel requires a finite a and a finite x >= 0")
     if x == 0.0:
         return 1.0
     if x <= _BESSEL_CROSSOVER:

@@ -149,8 +149,8 @@ def phi_legendre(params, lam, chi):
     is cut where cos(lam t) changes sign. Shares no series with phi."""
     if params.d < 2:
         raise DomainError("phi_legendre needs d >= 2")
-    if chi <= 0:
-        raise DomainError("phi_legendre requires chi > 0 (use phi at 0)")
+    if not (math.isfinite(lam) and 0 < chi < math.inf):
+        raise DomainError("phi_legendre requires a finite lam and a finite chi > 0 (use phi at 0)")
     rho = params.rho
     pref = math.exp((rho - 0.5) * math.log(2.0) + math.lgamma(rho + 0.5)
                     + 0.5 * math.log(2.0 / math.pi) - math.lgamma(rho)
@@ -174,6 +174,8 @@ def phi_angular_oracle(params, lam, chi):
     hyperbolic plane wave; the independent oracle for both phi realizations."""
     if params.d < 2:
         raise DomainError("the angular integral needs d >= 2")
+    if not (math.isfinite(lam) and math.isfinite(chi)):
+        raise DomainError("the angular integral needs a finite lam and chi")
     rho = params.rho
     lgB = math.lgamma(rho) + math.lgamma(0.5) - math.lgamma(rho + 0.5)
     norm = math.exp(-lgB)
@@ -226,8 +228,8 @@ def eigen_residual(params, lam, chi, h):
 def euclidean_limit_error(params, p_norm, r, R_values):
     """|phi at (lam = |p| R, chi = r/R) - spherical Bessel at |p| r| for each
     R; decays like O(1/R) as the curvature is flattened away."""
-    if p_norm <= 0 or r < 0:
-        raise DomainError("euclidean_limit_error requires p_norm > 0, r >= 0")
+    if not (0 < p_norm < math.inf and 0 <= r < math.inf):
+        raise DomainError("euclidean_limit_error requires a finite p_norm > 0 and r >= 0")
     target = spherical_bessel(params.a, p_norm * r)
     out = []
     for R in R_values:

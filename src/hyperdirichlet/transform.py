@@ -19,7 +19,6 @@ phi.
 
 from __future__ import annotations
 
-import io
 import math
 import weakref
 from dataclasses import dataclass
@@ -110,13 +109,6 @@ class SpectrumTable:
             raise DomainError("spectrum values must be finite")
         object.__setattr__(self, "lambda_grid", grid)
         object.__setattr__(self, "values", vals)
-
-    def to_csv(self):
-        out = io.StringIO()
-        out.write("lambda,fhat\n")
-        for lam, v in zip(self.lambda_grid, self.values):
-            out.write(f"{lam:.17g},{v:.17g}\n")
-        return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -623,7 +615,10 @@ def parseval_check(f, params, lambda_max):
 _MF_CACHE = weakref.WeakKeyDictionary()
 
 
-def _mf_profile(f, envelope):
+def _index_weight(f, envelope):
+    """The Mehler-Fock transform of the weight function f read off its Abel
+    profile, cached per f and envelope:
+    mu -> mu tanh(pi mu) int_1^Y P_{-1/2+i mu} f dy."""
     try:
         profiles = _MF_CACHE.setdefault(f, {})
     except TypeError:  # f does not support weak references: build uncached
@@ -638,12 +633,7 @@ def _mf_profile(f, envelope):
                     f"declared decay envelope is violated at y = {yy}")
         prof = _AbelCosineProfile(_weight_rows(f, Y), math.acosh(Y))
         profiles[envelope] = prof
-    return prof
 
-
-def _index_weight(prof):
-    """The Mehler-Fock transform read off an Abel profile:
-    mu -> mu tanh(pi mu) int_1^Y P_{-1/2+i mu} f dy."""
     def g(mu):
         return mu * math.tanh(math.pi * mu) * prof.cosine_moment(abs(mu))
     return g
@@ -656,7 +646,7 @@ def mehler_fock_forward(f, mu, envelope=DecayEnvelope()):
         raise DomainError(f"mehler_fock_forward requires a finite index, got mu = {mu}")
     if mu == 0.0:
         return 0.0
-    return _index_weight(_mf_profile(f, envelope))(mu)
+    return _index_weight(f, envelope)(mu)
 
 
 def mehler_fock_inverse(g, y, mu_max):
@@ -677,8 +667,8 @@ def translate(g, x, y, abs_tol=1e-11):
     """Generalized hyperbolic translation
     (T_x g)(y) = (1/pi) int_0^pi g(xy + sqrt((x^2-1)(y^2-1)) cos(theta)) dtheta,
     integrated to abs_tol (relative 1e-10)."""
-    if x < 1.0 or y < 1.0:
-        raise DomainError("translate requires x, y >= 1")
+    if not (1.0 <= x < math.inf and 1.0 <= y < math.inf):
+        raise DomainError("translate requires finite x, y >= 1")
     w = math.sqrt((x * x - 1.0) * (y * y - 1.0))
     if w == 0.0:
         return g(x * y)
@@ -691,6 +681,8 @@ def translate(g, x, y, abs_tol=1e-11):
 def translate_kernel(x, y, z):
     """Arcsine kernel K(x,y,z) = 1/(pi sqrt((z-z1)(z2-z))) on (z1, z2) with
     z_{1,2} = xy -+ sqrt((x^2-1)(y^2-1)), zero outside."""
+    if not (1.0 <= x < math.inf and 1.0 <= y < math.inf and math.isfinite(z)):
+        raise DomainError("translate_kernel requires finite x, y >= 1 and a finite z")
     w = math.sqrt((x * x - 1.0) * (y * y - 1.0))
     z1 = x * y - w
     z2 = x * y + w
@@ -703,8 +695,8 @@ def convolve(f, g, x, envelope=DecayEnvelope(), tol=1e-9):
     """Hyperbolic convolution (f * g)(x) = int_1^inf f(y) (T_x g)(y) dy by
     nested quadrature, the outer tail truncated by the envelope on f; the
     inner translates are integrated to the same tolerance."""
-    if x < 1.0:
-        raise DomainError("convolve requires x >= 1")
+    if not 1.0 <= x < math.inf:
+        raise DomainError("convolve requires a finite x >= 1")
     Y = envelope.truncation_point(tol / 10.0)
     spec = QuadratureSpec(abs_tol=tol, rel_tol=1e-8, max_subdivisions=600)
     return integrate(pointwise(lambda y: f(y) * translate(g, x, y, tol)), 1.0, Y, spec).value
@@ -716,15 +708,15 @@ def convolve_band_kernel(f, kp, x, envelope=DecayEnvelope()):
     Mehler-Fock transform, giving (1/R^2) int_0^M P_lam(x) g(lam) dlam.
     Orders of magnitude faster than nested quadrature; agrees with
     convolve(f, D_M, x) by the verified product formula."""
-    return (mehler_fock_inverse(_index_weight(_mf_profile(f, envelope)), x, kp.M)
+    return (mehler_fock_inverse(_index_weight(f, envelope), x, kp.M)
             / SpectralParams(2, kp.spectral.R).Rd)
 
 
 def product_formula_residual(x, y, mu):
     """|P(x)P(y) - int K(x,y,z) P(z) dz| over the finite support (z1, z2),
     evaluated after the arcsine substitution z = xy + w cos(theta)."""
-    if x < 1.0 or y < 1.0:
-        raise DomainError("product formula requires x, y >= 1")
+    if not (1.0 <= x < math.inf and 1.0 <= y < math.inf):
+        raise DomainError("product formula requires finite x, y >= 1")
     lhs = conical_p0(mu, x) * conical_p0(mu, y)
     rhs = translate(lambda z: conical_p0(mu, z), x, y)
     return abs(lhs - rhs)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath as mp
@@ -164,6 +165,30 @@ class TestGoldenValues:
         value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(1.9452796579790868, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("action", ["forward", "parseval"])
+    def test_transform_json_matches_csv(self, action, capsys):
+        argv = ["transform", "--d", "3", "--action", action, "--f", "bump",
+                "--lambda", "0:20:9"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        if action == "parseval":
+            records = [records]
+        header = lines[0].split(",")
+        assert [list(r) for r in records] == [header] * len(records)
+        assert [[r[k] for k in header] for r in records] == [
+            [float(tok) for tok in line.split(",")] for line in lines[1:]]
+
+    @pytest.mark.parametrize("d,name,target", [
+        (3, "linear-ramp", 1.0), (3, "poly-vanish", 0.0), (3, "bump", 1.0),
+        (3, "exp-decay", 1.0), (3, "one-jump", 1.0), (2, "exp-decay", 1.0),
+        (2, "poly-vanish", 0.0)])
+    def test_converge_target_defaults_to_the_origin_value(self, d, name, target, capsys):
+        # f(0), or the weight w(1) at d = 2
+        assert main(["converge", "--d", str(d), "--f", name, "--schedule", "5,10,20"]) == 0
+        assert json.loads(capsys.readouterr().out)["target"] == target
+
     def test_limits_density_matches_library(self, capsys):
         from hyperdirichlet.cfunction import density_euclid_constant, density_euclid_limit
         from hyperdirichlet.spherical import SpectralParams
@@ -241,13 +266,26 @@ class TestErrorRecord:
          "--lambda", "0:5:9"],
         ["converge", "--d", "4", "--f", "bump", "--a", "100"],
         ["converge", "--d", "4", "--f", "poly-vanish", "--a", "470", "--schedule", "1,2,3"],
+        ["kernel", "--d", "3", "--M", "10", "--chi", "nan", "--method", "asymptotic"],
+        ["kernel", "--d", "3", "--M", "10", "--chi", "inf", "--method", "asymptotic"],
+        ["converge", "--d", "3", "--f", "linear-ramp", "--schedule", "25,50,100",
+         "--target", "nan"],
+        ["converge", "--d", "3", "--f", "linear-ramp", "--schedule", "25,50,100", "--tol", "nan"],
+        ["converge", "--d", "3", "--f", "linear-ramp", "--schedule", "25,50,100", "--tol", "-1"],
+        ["converge", "--d", "2", "--f", "exp-decay", "--schedule", "5,10,20", "--tol", "0"],
+        ["limits", "--mode", "bessel", "--d", "3", "--r", "inf", "--Rgrid", "10"],
+        ["kernel", "--d", "3", "--M", "1e300", "--chi", "1e-301", "--method", "closed"],
+        ["kernel", "--d", "5", "--M", "1e300", "--chi", "1e-301", "--method", "closed"],
     ], ids=("phi-chi-inf", "phi-lambda-nan", "phi-d3-chi-inf", "kernel-M-inf",
             "kernel-R-inf", "cfunc-lambda-inf", "cfunc-overflow", "mehler-fock-mu-nan",
             "quadrature-M-1e300", "asymptotic-overflow", "closed-overflow",
             "recursion-overflow", "density-R-zero",
             "density-R-negative", "forward-d2-cosh-a", "forward-d3-sinh-squared",
             "converge-d5-sinh-fourth", "converge-d6-abel-kernel", "parseval-fhat-squared",
-            "converge-d4-past-the-cell-cap", "converge-d4-abel-rows"))
+            "converge-d4-past-the-cell-cap", "converge-d4-abel-rows",
+            "asymptotic-chi-nan", "asymptotic-chi-inf", "converge-target-nan",
+            "converge-tol-nan", "converge-tol-negative", "converge-d2-tol-zero",
+            "bessel-r-inf", "closed-d3-series-overflow", "closed-d5-series-overflow"))
     def test_unrepresentable_input_record(self, argv, capsys):
         # non-finite inputs, cuts without bound, overflow and R <= 0 end in a
         # DomainError record, not a traceback, a hang or a nan on stdout
@@ -268,6 +306,13 @@ class TestErrorRecord:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "DomainError"
+
+    def test_unknown_profile_record(self, capsys):
+        assert main(["converge", "--d", "3", "--f", "foo"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError",
+                                            "message": "unknown test function 'foo'"}
 
     def test_bad_grid_spec(self, capsys):
         rc = main(["phi", "--d", "3", "--lambda", "5:1:3", "--chi", "1"])
@@ -398,13 +443,21 @@ class TestErrorContractProperties:
         _assert_contract(["cfunc", "--d", str(d), "--lambda", repr(lam)])
 
     @_FUZZ
-    @given(method=st.sampled_from(["closed", "recursion"]),
+    @given(method_M=st.one_of(
+               st.tuples(st.sampled_from(["closed", "recursion", "asymptotic"]),
+                         st.floats(0.0, 1e300, exclude_min=True)),
+               # the band quadrature integrates phi over [0, M]: at d = 21,
+               # chi = 10 it takes 0.2 s at M = 100 and 21 s at M = 1e3
+               st.tuples(st.just("quadrature"), st.floats(0.0, 1e2, exclude_min=True))),
            d=st.sampled_from(range(1, 22, 2)),
-           M=st.floats(0.0, 1e300, exclude_min=True),
            chi=st.floats(0.0, 10.0, exclude_min=True))
-    def test_kernel(self, method, d, M, chi):
-        _assert_contract(["kernel", "--d", str(d), "--M", repr(M), "--chi", repr(chi),
-                          "--method", method])
+    def test_kernel(self, method_M, d, chi):
+        method, M = method_M
+        with warnings.catch_warnings():
+            # the leading-order warning of dirichlet_asymptotic below M chi = 10
+            warnings.filterwarnings("ignore", "dirichlet_asymptotic called", UserWarning)
+            _assert_contract(["kernel", "--d", str(d), "--M", repr(M), "--chi", repr(chi),
+                              "--method", method])
 
     @_FUZZ
     @given(action=st.sampled_from(["forward", "inverse", "parseval", "mehler-fock"]),

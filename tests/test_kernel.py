@@ -11,7 +11,7 @@ from hyperdirichlet.spherical import SpectralParams
 from hyperdirichlet.kernel import (KernelParams, dirichlet_quadrature,
                                    dirichlet_closed, dirichlet_d2,
                                    dirichlet_recursion, dirichlet_asymptotic,
-                                   dirichlet_origin_odd, shannon_delta)
+                                   dirichlet_origin_odd, shannon_delta, _shannon)
 from hyperdirichlet.specfun import bessel_j
 
 
@@ -28,6 +28,23 @@ class TestShannonDelta:
 
     def test_origin_value(self):
         assert shannon_delta(7.0, 0.0) == pytest.approx(7.0 / math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_series_against_mpmath(self, n):
+        # delta_M, delta_M' and delta_M'' at 40 values of M chi in (0, 0.5),
+        # where their one series serves, against 40-digit closed forms
+        worst = 0.0
+        with mpmath.workdps(40):
+            for M in (0.1, 0.3, 1.0, 7.0, 50.0, 1e3):
+                for j in range(40):
+                    chi = (j + 0.5) / 80.0 / M
+                    x = mpmath.mpf(chi)
+                    u = M * x
+                    s, c = mpmath.sin(u), mpmath.cos(u)
+                    ref = (s / x, (u * c - s) / x ** 2,
+                           (-u * u * s - 2 * (u * c - s)) / x ** 3)[n] / mpmath.pi
+                    worst = max(worst, float(abs(_shannon(n, M, chi) / ref - 1)))
+        assert worst <= 1e-15
 
 
 class TestThreeWayAgreement:

@@ -50,6 +50,17 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             integrate(np.sqrt, 0.0, 1.0, spec)
 
+    def test_one_panel_budget_raises(self):
+        # the first panel misses its tolerance and there is no budget to bisect
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=1)
+        with pytest.raises(QuadratureError) as info:
+            integrate(lambda x: np.cos(40.0 * x), 0.0, 10.0, spec)
+        assert info.value.subdivisions_used == 1
+
+    def test_zero_width_range(self):
+        res = integrate(np.exp, 2.0, 2.0, TIGHT)
+        assert (res.value, res.error_estimate, res.subdivisions_used) == (0.0, 0.0, 0)
+
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_linearity(self, a, b):
@@ -178,6 +189,10 @@ class TestBatchedEngine:
             assert values[i] == alone.value
             assert errors[i] == alone.error_estimate
             assert panels[i] == alone.subdivisions_used
+
+    def test_integrate_cells_without_cells(self):
+        values, errors, panels = integrate_cells(lambda x, cell: x, [], [], TIGHT)
+        assert values.size == errors.size == panels.size == 0
 
     def test_pointwise_passes_python_floats(self):
         seen = []

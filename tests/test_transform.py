@@ -400,6 +400,11 @@ class TestParseval:
         assert ns == pytest.approx(ref, rel=1e-10, abs=0.0)
         assert ns <= nf
 
+    def test_norm_of_f_overflows(self):
+        # f^2 = 1.44e308 is finite, f^2 sinh^2 chi is not toward chi = 1
+        with pytest.raises(DomainError, match="Parseval norms overflow"):
+            parseval_check(RadialFunction(lambda x: 1.2e154, 1.0), SpectralParams(3), 1.0)
+
     def test_bessel_inequality_at_a_wide_support(self):
         # the sampled spectrum gave 7.08e136 here, past the norm of f
         from hyperdirichlet.cli import make_test_function
@@ -423,6 +428,36 @@ class TestAbelProfile:
         for lam in (0.0, 0.7, 3.0):
             assert pa.Rd * prof.cosine_moment(lam) == pytest.approx(
                 fh_forward(f, pa, lam), rel=0.0, abs=1e-10 * scale)
+
+
+    def test_rules_past_the_kept_octaves(self):
+        # eleven octaves of mu drop the first rule; it is rebuilt the same
+        from hyperdirichlet.cli import make_test_function
+        from hyperdirichlet.transform import _RULES_KEPT, _radial_abel_profile
+        prof = _radial_abel_profile(make_test_function("bump", 1.0))
+        first = prof.cosine_moment(1.5)
+        for k in range(1, 11):
+            prof.cosine_moment(1.5 * 2 ** k)
+        assert len(prof._rules) == _RULES_KEPT and 1 not in prof._rules
+        assert prof.cosine_moment(1.5) == first
+
+
+class TestDecayEnvelope:
+    def test_power_bound_and_truncation_point(self):
+        env = DecayEnvelope("power", 2.0, 3.0)
+        assert env.bound(2.0) == 0.25
+        Y = env.truncation_point(1e-6)
+        # the exact tail int_Y^inf 2 y^-3 dy = 1 / Y^2
+        assert 1.0 / Y ** 2 == pytest.approx(1e-6, rel=1e-12)
+
+    @pytest.mark.parametrize("env,tol,error", [
+        (DecayEnvelope("power", 1.0, 2.0), 0.0, DomainError),
+        (DecayEnvelope("exponential", 1.0, 1.0), -1e-6, DomainError),
+        (DecayEnvelope("exponential", 1.0, 0.0), 1e-6, EnvelopeError),
+    ], ids=("power-tol-0", "exponential-tol-negative", "exponential-rate-0"))
+    def test_truncation_point_refusals(self, env, tol, error):
+        with pytest.raises(error):
+            env.truncation_point(tol)
 
 
 class TestMehlerFock:
