@@ -71,28 +71,38 @@ def _lam_tanh(lam):
     return lam * math.tanh(math.pi * lam)
 
 
+def _float_constant(make, what, d):
+    """make(), a product of gamma values and powers in floats; DomainError
+    where it overflows, raised or rounded to inf."""
+    try:
+        value = make()
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"the gamma and power constants of {what} overflow a float at d = {d}")
+    return value
+
+
 def inv_c_modulus_sq(params, lam):
     """|c(lam, rho)|^{-2} by the closed parity formulas, finite at lam = 0
-    for odd d and vanishing like lam tanh(pi lam) for even d."""
+    for odd d and vanishing like lam tanh(pi lam) for even d. DomainError
+    where its float constants (from d = 152) or its value overflow."""
     d = params.d
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError(f"|c|^-2 requires a finite lambda, got {lam}")
     if d == 1:
         return 4.0
-    if d % 2 == 1:
-        k = (d - 1) // 2
-        prod = 1.0
-        for l in range(k):
-            prod *= l * l + lam * lam
-        value = math.pi * prod / (4.0 ** (2 * k - 1) * math.gamma(k + 0.5) ** 2)
-    else:
-        k = d // 2
-        prod = 1.0
-        for l in range(k - 1):
-            prod *= (l + 0.5) ** 2 + lam * lam
-        value = (math.pi * _lam_tanh(lam) * prod
-                 / (4.0 ** (2 * (k - 1)) * math.gamma(k) ** 2))
+    # odd d = 2k+1: pi prod_{l<k}(l^2 + lam^2) / (4^{2k-1} Gamma(k+1/2)^2);
+    # even d = 2k: pi lam tanh(pi lam) prod_{l<k-1}((l+1/2)^2 + lam^2) / (4^{2k-2} Gamma(k)^2)
+    k, odd = d // 2, d % 2
+    denom = _float_constant(lambda: 4.0 ** (2 * k - 2 + odd) * math.gamma(k + 0.5 * odd) ** 2,
+                            "|c|^-2", d)
+    shift = 0.0 if odd else 0.5
+    prod = 1.0
+    for l in range(k - 1 + odd):
+        prod *= (l + shift) ** 2 + lam * lam
+    value = math.pi * (1.0 if odd else _lam_tanh(lam)) * prod / denom
     if value == math.inf:
         raise DomainError(f"|c|^-2 overflows at d = {d}, lambda = {lam}")
     return value
@@ -138,7 +148,7 @@ def poly_coefficients(k, parity):
             raise DomainError("odd parity requires k >= 1")
         # prod_{l=0}^{k-1}(l^2 + x), x = lam^2; strip the bare l=0 factor x.
         raw = _expand_product([float(l * l) for l in range(1, k)])
-        g2 = math.gamma(k) ** 2
+        g2 = _float_constant(lambda: math.gamma(k) ** 2, "the odd beta-polynomial", 2 * k + 1)
         betas = tuple(c / g2 for c in raw)
         assert abs(betas[-1] * g2 - 1.0) < 1e-12
         return PlancherelPoly("odd", k, betas)
@@ -146,8 +156,9 @@ def poly_coefficients(k, parity):
         if k < 2:
             raise DomainError("even parity requires k >= 2")
         raw = _expand_product([(l + 0.5) ** 2 for l in range(k - 1)])
+        g2 = _float_constant(lambda: math.gamma(k - 0.5) ** 2, "the even beta-polynomial", 2 * k)
         alpha0 = raw[0]
-        assert abs(alpha0 - math.gamma(k - 0.5) ** 2 / math.pi) < 1e-10 * alpha0
+        assert abs(alpha0 - g2 / math.pi) < 1e-10 * alpha0
         betas = tuple(raw[j] / (alpha0 * 4.0 ** j) for j in range(1, k))
         return PlancherelPoly("even", k, (alpha0,) + betas)
     raise DomainError(f"unknown parity {parity!r}")
@@ -190,6 +201,8 @@ def density_euclid_limit(params, p_norm, R_values):
 
 def density_euclid_constant(params, p_norm):
     """The limit of density_euclid_limit: 4 pi p^{d-1} / (2^{4 rho} Gamma(rho+1/2)^2)."""
-    rho = params.rho
-    return (4.0 * math.pi / (2.0 ** (4.0 * rho) * math.gamma(rho + 0.5) ** 2)
-            * p_norm ** (params.d - 1))
+    rho, d = params.rho, params.d
+    what = "the Euclidean density limit"
+    return (4.0 * math.pi / _float_constant(lambda: 2.0 ** (4.0 * rho) * math.gamma(rho + 0.5) ** 2,
+                                            what, d)
+            * _float_constant(lambda: p_norm ** (d - 1), what, d))

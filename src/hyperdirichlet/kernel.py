@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import QuadratureSpec, integrate_split, pointwise, split_points
-from .cfunction import plancherel_density, poly_coefficients
+from .cfunction import _float_constant, plancherel_density, poly_coefficients
 from .spherical import _HYPERBOLIC_MAX, SpectralParams, _phi_array, _sinh_cosh, _unscale
 
 __all__ = [
@@ -389,6 +389,6 @@ def dirichlet_origin_odd(kp):
             total += poly.coefficients[l - 1] * M ** (2 * l + 1) / (2 * l + 1)
     except OverflowError:
         raise DomainError(f"the origin value overflows at d = {d}, M = {M}") from None
-    pref = (math.gamma(k) ** 2
-            / (2.0 ** (2.0 * rho - 1.0) * math.gamma(rho + 0.5) ** 2 * kp.spectral.Rd))
-    return pref * total
+    const = _float_constant(lambda: 2.0 ** (2.0 * rho - 1.0) * math.gamma(rho + 0.5) ** 2,
+                            "the odd origin value", d)
+    return math.gamma(k) ** 2 / (const * kp.spectral.Rd) * total

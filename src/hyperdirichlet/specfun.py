@@ -19,11 +19,11 @@ chi-free part of its series at one key: the Harish-Chandra slot, keyed by
 log-gamma terms; the 2F1 slot, keyed by (a, b, c), the term ratios
 (a+n)(b+n)/((c+n)(n+1)). A slot starts recording on the second call in a
 row at a key, so a stream of new keys (a quadrature over lam) pays nothing,
-and it is replaced on the second call in a row at another key. It grows in
-doubling steps as calls need more terms, up to _SLOT_MAX_TERMS (about 1 MB
-for the two slots); past that the terms are computed without being kept.
-The sums read the slot with the same floating-point operations, in the same
-order, as they compute them, so no value depends on the slot's state. Keys
+and it is replaced on the second call in a row at another key. Each series
+is one loop over its terms: below the slot's recorded length it reads the
+term, past it it computes the term and, while the slot records, appends it,
+up to _SLOT_MAX_TERMS (about 1 MB for the two slots). A term read back is
+the term computed, so no value depends on the slot's state. Keys
 compare with ==, so lam = 0.0 and -0.0 share a slot; their terms differ
 only in the signs of zero imaginary parts, which no value reads.
 """
@@ -33,7 +33,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from itertools import islice
 
 import scipy.special
 
@@ -111,21 +110,19 @@ def gamma_modulus_sq(kind, lam, k=None):
         if abs(lam) * math.pi > 700.0:
             return 0.0
         return math.pi / math.cosh(math.pi * lam)
-    if kind == "integer_shift":
+    if kind in ("integer_shift", "half_integer_shift"):
         if not isinstance(k, int) or k < 1:
-            raise DomainError("integer_shift requires integer k >= 1")
-        # |Gamma(i lam)|^2 * prod_{l=0}^{k-1}(l^2+lam^2), written with the
-        # l=0 factor absorbed so lam = 0 stays finite.
-        out = _lam_over_sinh(math.pi * lam)
-        for l in range(1, k):
+            raise DomainError(f"{kind} requires integer k >= 1")
+        if kind == "integer_shift":
+            # |Gamma(i lam)|^2 * prod_{l=0}^{k-1}(l^2+lam^2), written with the
+            # l=0 factor absorbed so lam = 0 stays finite.
+            out, shifts = _lam_over_sinh(math.pi * lam), range(1, k)
+        else:
+            out, shifts = gamma_modulus_sq("half_shift", lam), (l + 0.5 for l in range(k))
+        if out == 0.0:
+            return 0.0           # underflowed; times l^2 + lam^2 = inf it would be nan
+        for l in shifts:
             out *= l * l + lam * lam
-        return out
-    if kind == "half_integer_shift":
-        if not isinstance(k, int) or k < 1:
-            raise DomainError("half_integer_shift requires integer k >= 1")
-        out = gamma_modulus_sq("half_shift", lam)
-        for l in range(k):
-            out *= (l + 0.5) ** 2 + lam * lam
         return out
     raise DomainError(f"unknown gamma_modulus_sq kind: {kind!r}")
 
@@ -133,44 +130,27 @@ def gamma_modulus_sq(kind, lam, k=None):
 def _series_2f1(a, b, c, z, max_terms):
     """Plain power series. Returns (sum, max |partial|, converged); a sum
     whose terms overflow has not converged. The term ratios
-    (a+n)(b+n)/((c+n)(n+1)) are read from the thread's 2F1 slot where it
-    holds (a, b, c)."""
+    (a+n)(b+n)/((c+n)(n+1)) are read from the thread's 2F1 slot as far as it
+    holds (a, b, c), and recorded past that while it is recording."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     maxpart = 1.0
     small_streak = 0
-    start = 0
     slot = _SLOTS.f21
     if slot.holds((a, b, c)):
-        ratios = slot.terms
-        while True:
-            stop = min(max_terms, len(ratios))
-            for r in islice(ratios, start, stop):
-                try:
-                    term *= r * z
-                    total += term
-                    at = abs(term)
-                    ap = abs(total)
-                except OverflowError:
-                    return total, math.inf, False
-                if at > maxpart:
-                    maxpart = at
-                if ap > maxpart:
-                    maxpart = ap
-                if at <= 1e-16 * (1e-300 if ap < 1e-300 else ap):
-                    small_streak += 1
-                    if small_streak >= 2:
-                        return total, maxpart, True
-                else:
-                    small_streak = 0
-            start = stop
-            if stop == max_terms or stop == _SLOT_MAX_TERMS:
-                break
-            ratios.extend((a + n) * (b + n) / ((c + n) * (n + 1.0))
-                          for n in range(stop, min(2 * stop + 16, max_terms, _SLOT_MAX_TERMS)))
-    for n in range(start, max_terms):
+        ratios, record = slot.terms, _SLOT_MAX_TERMS
+    else:
+        ratios, record = (), 0
+    known = len(ratios)
+    for n in range(max_terms):
         try:
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+            if n < known:
+                r = ratios[n]
+            else:
+                r = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+                if n < record:
+                    ratios.append(r)
+            term *= r * z
             total += term
             at = abs(term)
             ap = abs(total)
@@ -214,23 +194,6 @@ _HC_MAX_TERMS = 100_000
 _HC_MIN_DECAY = 20.0
 
 
-def _hc_extend(slot, rho, il, n):
-    """Record (Gamma_k, dGamma_k/dlam, their moduli, the larger modulus) in
-    the slot up to k = n - 1, continuing the recurrence from slot.state. The
-    terms and the state change together, or not at all if a step raises."""
-    g, dg, s, ds = slot.state
-    new = []
-    for k in range(len(slot.terms), n):
-        mu = il - rho - 2.0 * (k - 1)
-        s, ds = s + mu * g, ds + 1j * g + mu * dg
-        g = -rho * s / (k * (k - il))
-        dg = (-rho * ds + 1j * k * g) / (k * (k - il))
-        ag, adg = abs(g), abs(dg)
-        new.append((g, dg, ag, adg, adg if adg > ag else ag))
-    slot.terms += new
-    slot.state = g, dg, s, ds
-
-
 def _hc_constants(rho, lam, il):
     """The chi-free parts of the Harish-Chandra prefactor: log of
     e^{-i lam chi} A e^{rho chi} / (i lam), |log Gamma(1 + i lam)|,
@@ -254,9 +217,10 @@ def _harish_chandra(rho, lam, chi):
     the realized cancellation of the term moduli, times the size of the
     phases whose rounding the value carries; inf where the about
     40/chi + 100 terms, at most _HC_MAX_TERMS + 100, do not converge, decided
-    before the loop where the cap leaves too few. The Gamma_k and the
-    prefactor's chi-free parts are read from the thread's Harish-Chandra slot
-    where it holds (rho, lam)."""
+    before the loop where the cap leaves too few. The Gamma_k are read from
+    the thread's Harish-Chandra slot as far as it holds (rho, lam), and
+    recorded past that while it is recording, with the recurrence's state;
+    the prefactor's chi-free parts are kept there too."""
     n_terms = int(min(40.0 / chi, _HC_MAX_TERMS)) + 100
     if 2.0 * chi * n_terms < _HC_MIN_DECAY:
         return math.nan, math.inf
@@ -265,57 +229,43 @@ def _harish_chandra(rho, lam, chi):
     g, dg, s, ds = 1.0 + 0.0j, 0.0j, 0.0j, 0.0j   # Gamma_k, the running sum, d/dlam of each
     total, dtotal, absum, dabsum, qk = g, dg, 1.0, 0.0, 1.0
     small_streak = 0
-    start, converged = 1, False
     slot = _SLOTS.hc
     recorded = slot.holds((rho, lam))
     if recorded:
         if not slot.terms:
             slot.terms.append(None)          # Gamma_0 = 1 starts the sums
             slot.state = g, dg, s, ds
-        terms = slot.terms
-        while True:
-            stop = min(n_terms, len(terms))
-            for tg, tdg, ag, adg, mx in islice(terms, start, stop):
-                qk *= q
-                total += tg * qk
-                dtotal += tdg * qk
-                absum += ag * qk
-                dabsum += adg * qk
-                if mx * qk <= 1e-17 * abs(total):
-                    small_streak += 1
-                    if small_streak >= 2:
-                        break
-                else:
-                    small_streak = 0
-            else:
-                start = stop
-                if stop == n_terms or stop == _SLOT_MAX_TERMS:
-                    g, dg, s, ds = slot.state
-                    break
-                _hc_extend(slot, rho, il, min(2 * stop + 16, n_terms, _SLOT_MAX_TERMS))
-                continue
-            converged = True
-            break
-    if not converged:
-        for k in range(start, n_terms):
+        terms, record = slot.terms, _SLOT_MAX_TERMS
+        g, dg, s, ds = slot.state
+    else:
+        terms, record = (None,), 0
+    known = len(terms)
+    for k in range(1, n_terms):
+        if k < known:
+            g, dg, ag, adg, mx = terms[k]
+        else:
             mu = il - rho - 2.0 * (k - 1)
             s, ds = s + mu * g, ds + 1j * g + mu * dg
             g = -rho * s / (k * (k - il))
             dg = (-rho * ds + 1j * k * g) / (k * (k - il))
-            qk *= q
-            total += g * qk
-            dtotal += dg * qk
             ag, adg = abs(g), abs(dg)
-            absum += ag * qk
-            dabsum += adg * qk
-            if (adg if adg > ag else ag) * qk <= 1e-17 * abs(total):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
+            mx = adg if adg > ag else ag
+            if k < record:
+                terms.append((g, dg, ag, adg, mx))
+                slot.state = g, dg, s, ds
+        qk *= q
+        total += g * qk
+        dtotal += dg * qk
+        absum += ag * qk
+        dabsum += adg * qk
+        if mx * qk <= 1e-17 * abs(total):
+            small_streak += 1
+            if small_streak >= 2:
+                break
         else:
-            return math.nan, math.inf
+            small_streak = 0
+    else:
+        return math.nan, math.inf
     if not recorded:
         consts = _hc_constants(rho, lam, il)
     elif slot.const is None:
@@ -415,11 +365,11 @@ def bessel_j(nu, x):
 
 
 def spherical_bessel(a, x):
-    """Normalized Bessel function: Gamma(a+1) (2/x)^a J_a(x), equal to 1 at
-    x = 0. For a = (d-2)/2 this is the Euclidean limit of the zonal
+    """Normalized Bessel function: Gamma(a+1) (2/x)^a J_a(x) for a > -1, equal
+    to 1 at x = 0. For a = (d-2)/2 this is the Euclidean limit of the zonal
     spherical function."""
-    if not (math.isfinite(a) and 0 <= x < math.inf):
-        raise DomainError("spherical_bessel requires a finite a and a finite x >= 0")
+    if not (-1.0 < a < math.inf and 0 <= x < math.inf):
+        raise DomainError("spherical_bessel requires a finite a > -1 and a finite x >= 0")
     if x == 0.0:
         return 1.0
     if x <= _BESSEL_CROSSOVER:
@@ -433,4 +383,4 @@ def spherical_bessel(a, x):
                 break
         return total
     lg = math.lgamma(a + 1.0) + a * math.log(2.0 / x)
-    return math.exp(lg) * bessel_j(a, x)
+    return math.exp(lg) * float(scipy.special.jv(a, x))

@@ -152,9 +152,13 @@ def phi_legendre(params, lam, chi):
     if not (math.isfinite(lam) and 0 < chi < math.inf):
         raise DomainError("phi_legendre requires a finite lam and a finite chi > 0 (use phi at 0)")
     rho = params.rho
+    try:
+        sh = math.sinh(chi)
+    except OverflowError:
+        raise DomainError(f"phi_legendre: sinh(chi) overflows at chi = {chi}") from None
     pref = math.exp((rho - 0.5) * math.log(2.0) + math.lgamma(rho + 0.5)
                     + 0.5 * math.log(2.0 / math.pi) - math.lgamma(rho)
-                    + (1.0 - 2.0 * rho) * math.log(math.sinh(chi)))
+                    + (1.0 - 2.0 * rho) * math.log(sh))
 
     def f(u):
         v = u * u
@@ -179,8 +183,10 @@ def phi_angular_oracle(params, lam, chi):
     rho = params.rho
     lgB = math.lgamma(rho) + math.lgamma(0.5) - math.lgamma(rho + 0.5)
     norm = math.exp(-lgB)
-    ch = math.cosh(chi)
-    sh = math.sinh(chi)
+    try:
+        ch, sh = math.cosh(chi), math.sinh(chi)
+    except OverflowError:
+        raise DomainError(f"the angular integral overflows cosh(chi) at chi = {chi}") from None
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
 
     def make(trig):

@@ -202,6 +202,14 @@ class TestGoldenValues:
         values = density_euclid_limit(pa, 1.5, [10.0, 25.0, 40.0])
         assert rows == [[R, v, abs(v - limit)] for R, v in zip((10.0, 25.0, 40.0), values)]
 
+    def test_limits_bessel_at_d1(self, capsys):
+        # a = -1/2 past the series' crossover x = 12: J_{-1/2} gives cos x,
+        # and phi at d = 1 is cos(lam chi)
+        assert main(["limits", "--mode", "bessel", "--d", "1", "--p", "20", "--r", "1"]) == 0
+        rows = [[float(tok) for tok in r.split(",")]
+                for r in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 3 and all(err <= 1e-14 for _, err in rows)
+
 
 class TestErrorRecord:
     def test_domain_error_exit_code(self, capsys):
@@ -488,3 +496,16 @@ class TestErrorContractProperties:
     def test_limits(self, mode, d, R, Rgrid):
         _assert_contract(["limits", "--mode", mode, "--d", str(d), "--R", repr(R),
                           "--Rgrid", repr(Rgrid)])
+
+    @pytest.mark.parametrize("d", (343, 400, 1000))
+    @pytest.mark.parametrize("argv", [
+        ["cfunc", "--lambda", "1"],
+        ["limits", "--mode", "density"],
+        ["kernel", "--M", "2", "--chi", "0.5", "--method", "quadrature"],
+        ["transform", "--action", "inverse"],
+        ["transform", "--action", "parseval"],
+        ["converge", "--f", "bump", "--format", "csv"],
+    ], ids=("cfunc", "density", "quadrature", "inverse", "parseval", "converge"))
+    def test_large_dimension(self, argv, d):
+        # the gamma and power constants of |c|^-2 overflow a float from d = 152
+        _assert_contract(argv + ["--d", str(d)])

@@ -6,12 +6,13 @@ import math
 
 import pytest
 
-from hyperdirichlet.cfunction import c_modulus_sq_gamma, plancherel_density
+from hyperdirichlet.cfunction import (c_modulus_sq_gamma, density_euclid_constant,
+                                      inv_c_modulus_sq, plancherel_density, poly_coefficients)
 from hyperdirichlet.cli import make_weight_function
 from hyperdirichlet.convergence import delta_limit_audit, example_d5_boundary_audit
 from hyperdirichlet.errors import DomainError, PoleError
 from hyperdirichlet.kernel import (KernelParams, dirichlet_asymptotic, dirichlet_d2,
-                                   dirichlet_recursion, shannon_delta)
+                                   dirichlet_origin_odd, dirichlet_recursion, shannon_delta)
 from hyperdirichlet.numerics import QuadratureSpec, extrapolate_limit
 from hyperdirichlet.specfun import bessel_j, gamma_modulus_sq, spherical_bessel
 from hyperdirichlet.spherical import (SpectralParams, eigen_residual, phi_angular_oracle,
@@ -48,6 +49,7 @@ NON_FINITE = {
     "delta_limit_audit-M-nan": lambda: delta_limit_audit(1, NAN),
     "shannon_delta-M-nan": lambda: shannon_delta(NAN, 1.0),
     "extrapolate_limit-value-nan": lambda: extrapolate_limit([(1, 1), (2, NAN), (3, 1)]),
+    "extrapolate_limit-param-inf": lambda: extrapolate_limit([(1, 1), (2, 1), (INF, 1)]),
 }
 
 
@@ -109,6 +111,39 @@ REFUSALS = {
     "plancherel_density-overflow": (
         lambda: plancherel_density(SpectralParams(3, 1e-100), 1e10), DomainError,
         "Plancherel density overflows"),
+    # 1 / p at a zero parameter; Neville in 1/p assumes p -> +inf
+    "extrapolate_limit-param-0": (lambda: extrapolate_limit([(0, 1), (1, 1), (2, 1)]),
+                                  DomainError, "parameters > 0"),
+    "extrapolate_limit-param-negative": (lambda: extrapolate_limit([(-2, 1), (-1, 1), (3, 1)]),
+                                         DomainError, "parameters > 0"),
+    # sinh and cosh overflow past chi = 710.47
+    "phi_legendre-chi-800": (lambda: phi_legendre(SpectralParams(4), 1.0, 800.0), DomainError,
+                             "sinh.chi. overflows"),
+    "phi_angular_oracle-chi-800": (lambda: phi_angular_oracle(SpectralParams(4), 1.0, 800.0),
+                                   DomainError, "overflows cosh.chi."),
+    # J_a from a > -1 only; a = -1 and -2 meet a zero divisor in the series
+    "spherical_bessel-a-minus-1": (lambda: spherical_bessel(-1.0, 20.0), DomainError, "a > -1"),
+    "spherical_bessel-a-minus-2": (lambda: spherical_bessel(-2.0, 20.0), DomainError, "a > -1"),
+    "spherical_bessel-a-minus-1-series": (lambda: spherical_bessel(-1.0, 3.0), DomainError,
+                                          "a > -1"),
+    # the float constants 4^(2k-1) Gamma(k+1/2)^2, Gamma(k)^2, 2^(4 rho) overflow,
+    # raised (d >= 199) or rounded to inf, which left a spurious 0.0 (d = 152 to 198)
+    **{f"inv_c_modulus_sq-d-{d}": (lambda d=d: inv_c_modulus_sq(SpectralParams(d), 1.0),
+                                   DomainError, "constants of .c.\\^-2 overflow")
+       for d in (152, 197, 199, 200, 343, 400, 1000)},
+    "poly_coefficients-odd-172": (lambda: poly_coefficients(172, "odd"), DomainError,
+                                  "odd beta-polynomial overflow a float at d = 345"),
+    "poly_coefficients-even-100": (lambda: poly_coefficients(100, "even"), DomainError,
+                                   "even beta-polynomial overflow"),
+    "dirichlet_origin_odd-d-341": (
+        lambda: dirichlet_origin_odd(KernelParams(SpectralParams(341), 1.0)), DomainError,
+        "overflow a float at d = 341"),
+    "dirichlet_origin_odd-d-197": (
+        lambda: dirichlet_origin_odd(KernelParams(SpectralParams(197), 1.0)), DomainError,
+        "odd origin value overflow a float at d = 197"),
+    **{f"density_euclid_constant-d-{d}": (
+        lambda d=d: density_euclid_constant(SpectralParams(d), 1.0), DomainError,
+        "Euclidean density limit overflow") for d in (190, 1000)},
 }
 
 

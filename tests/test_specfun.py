@@ -45,6 +45,12 @@ class TestGammaModulusSq:
         val = gamma_modulus_sq("integer_shift", 0.0, 3)
         assert val == pytest.approx(math.gamma(3.0) ** 2, rel=1e-13)
 
+    @pytest.mark.parametrize("kind", ("integer_shift", "half_integer_shift"))
+    @pytest.mark.parametrize("lam", (1e160, -1e160, 1e300))
+    def test_shifts_underflow_where_lam_squared_overflows(self, kind, lam):
+        # e^{-pi |lam|} underflows first; l^2 + lam^2 = inf must not make it nan
+        assert gamma_modulus_sq(kind, lam, 3) == 0.0
+
 
 class TestGauss2F1:
     def test_elementary_closed_form(self):
@@ -294,6 +300,12 @@ class TestBessel:
         # a = 1/2: Gamma(3/2)(2/x)^{1/2} J_{1/2}(x) = sin(x)/x
         for x in (0.5, 2.0, 15.0):
             assert spherical_bessel(0.5, x) == pytest.approx(math.sin(x) / x, rel=1e-10)
+
+    @pytest.mark.parametrize("x", (5.0, 12.1, 20.0, 300.0))
+    def test_spherical_at_minus_half(self, x):
+        # a = -1/2 (d = 1): Gamma(1/2)(2/x)^{-1/2} J_{-1/2}(x) = cos x, on both
+        # sides of the crossover
+        assert spherical_bessel(-0.5, x) == pytest.approx(math.cos(x), rel=1e-14, abs=1e-15)
 
     def test_spherical_crossover_continuity(self):
         a = 1.5
